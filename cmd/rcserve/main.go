@@ -15,17 +15,18 @@
 //
 //	POST /v1/run          one benchmark × arch point → stats JSON
 //	POST /v1/sweep        a grid, streamed back as NDJSON
+//	POST /v1/replay       an rctrace file, replayed → stats JSON
 //	GET  /v1/sweeps       live sweep progress (completed/total, per peer)
 //	GET  /v1/figures/{id} a regenerated paper figure (table1, fig7, ...)
 //	GET  /healthz         readiness (503 while draining)
-//	GET  /metrics         expvar JSON; ?format=prometheus for text exposition
+//	GET  /metrics         counters, gauges and latency quantiles as one flat JSON map
 //	GET  /debug/trace     retained request traces as Chrome trace JSON
 //
 // Every response carries an X-Request-ID (the client's own, when it sent
-// a valid one). With -trace, run/sweep/figures requests record span
-// trees — cache lookup, store read, flight, simulate, store append, peer
-// forward — exported via /debug/trace and, with -trace-dir, written per
-// request as Chrome trace-event JSON. With -log, structured request logs
+// a valid one). With -trace, run/replay/sweep/figures requests record
+// span trees — cache lookup, store read, flight, simulate or replay,
+// store append, peer forward — exported via /debug/trace and, with
+// -trace-dir, written per request as Chrome trace-event JSON. With -log, structured request logs
 // (request ID, route, cache state, duration) go to stderr; requests
 // slower than -slow log at Warn.
 //

@@ -1,73 +1,34 @@
 package obs
 
 import (
+	"expvar"
 	"math"
 	"sync"
 	"testing"
 )
 
-func TestCounterAndVec(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("total", "help")
-	c.Inc()
-	c.Add(4)
+// Counter and Gauge are published straight into expvar maps.
+var (
+	_ expvar.Var = (*Counter)(nil)
+	_ expvar.Var = (*Gauge)(nil)
+)
+
+func TestCounter(t *testing.T) {
+	var c Counter
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Fatalf("Value = %d, want 5", c.Value())
 	}
 	if c.String() != "5" {
 		t.Fatalf("String = %q", c.String())
 	}
-	v := reg.CounterVec("by_ep", "help", "endpoint")
-	v.With("run").Add(3)
-	v.With("sweep").Add(2)
-	v.With("run").Inc()
-	if got := v.Sum(nil); got != 6 {
-		t.Fatalf("Sum(nil) = %d, want 6", got)
-	}
-	if got := v.Sum(func(vals []string) bool { return vals[0] == "run" }); got != 4 {
-		t.Fatalf("Sum(run) = %d, want 4", got)
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("dup", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	reg.Gauge("dup", "")
-}
-
-func TestBadNamesPanic(t *testing.T) {
-	for _, name := range []string{"", "0starts_with_digit", "has-dash", "has space"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("name %q did not panic", name)
-				}
-			}()
-			NewRegistry().Counter(name, "")
-		}()
-	}
-}
-
-func TestWrongLabelCountPanics(t *testing.T) {
-	reg := NewRegistry()
-	v := reg.CounterVec("c", "", "a", "b")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong label count did not panic")
-		}
-	}()
-	v.With("only-one")
 }
 
 func TestGauge(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge("g", "")
-	g.Set(2.5)
+	var g Gauge
+	g.Add(2.5)
 	if g.Value() != 2.5 {
 		t.Fatalf("Value = %v", g.Value())
 	}
@@ -75,11 +36,9 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 1.5 {
 		t.Fatalf("after Add: %v", g.Value())
 	}
-	called := false
-	reg.GaugeFunc("gf", "", func() float64 { called = true; return 7 })
-	_, series := reg.byName["gf"].snapshot()
-	if got := series[0].(*Gauge).Value(); got != 7 || !called {
-		t.Fatalf("GaugeFunc = %v (called %v)", got, called)
+	g.Add(1.5)
+	if g.String() != "3" {
+		t.Fatalf("String = %q, want %q (integral values render as JSON integers)", g.String(), "3")
 	}
 }
 
@@ -87,8 +46,7 @@ func TestGauge(t *testing.T) {
 // equal to a bound lands in that bound's bucket, just above it in the
 // next.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("h", "", []float64{1, 2, 5})
+	h := NewHistogram([]float64{1, 2, 5})
 	for _, v := range []float64{0.5, 1.0, 1.0001, 2.0, 4.99, 5.0, 5.0001, 100} {
 		h.Observe(v)
 	}
@@ -107,17 +65,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, got[i], want[i], got)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", h.Count())
-	}
-	if sum := h.Sum(); math.Abs(sum-119.4902) > 1e-9 {
-		t.Fatalf("Sum = %v", sum)
-	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("h", "", []float64{10, 20, 40})
+	h := NewHistogram([]float64{10, 20, 40})
 	// 10 observations in (0,10], 10 in (10,20].
 	for i := 0; i < 10; i++ {
 		h.Observe(5)
@@ -136,37 +87,15 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("p0 = %v, want 0", q)
 	}
 	// Everything in +Inf saturates at the top finite bound.
-	h2 := reg.Histogram("h2", "", []float64{1, 2})
+	h2 := NewHistogram([]float64{1, 2})
 	h2.Observe(99)
 	if q := h2.Quantile(0.5); q != 2 {
 		t.Fatalf("+Inf quantile = %v, want 2", q)
 	}
 	// Empty histogram.
-	h3 := reg.Histogram("h3", "", nil)
+	h3 := NewHistogram(nil)
 	if q := h3.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v, want 0", q)
-	}
-}
-
-func TestHistogramVecMergedQuantile(t *testing.T) {
-	reg := NewRegistry()
-	v := reg.HistogramVec("lat", "", []float64{1, 2, 4}, "endpoint")
-	for i := 0; i < 8; i++ {
-		v.With("run").Observe(0.5) // first bucket
-	}
-	for i := 0; i < 2; i++ {
-		v.With("sweep").Observe(3) // third bucket
-	}
-	if n := v.Count(); n != 10 {
-		t.Fatalf("Count = %d, want 10", n)
-	}
-	// p50 of the merged distribution sits inside the first bucket.
-	if q := v.Quantile(0.5); q > 1 {
-		t.Fatalf("merged p50 = %v, want <= 1", q)
-	}
-	// p95 lands in the (2,4] bucket.
-	if q := v.Quantile(0.95); q <= 2 || q > 4 {
-		t.Fatalf("merged p95 = %v, want in (2,4]", q)
 	}
 }
 
@@ -176,7 +105,7 @@ func TestNonAscendingBucketsPanic(t *testing.T) {
 			t.Fatal("non-ascending buckets did not panic")
 		}
 	}()
-	NewRegistry().Histogram("h", "", []float64{1, 1})
+	NewHistogram([]float64{1, 1})
 }
 
 func TestExplicitInfBucketPanics(t *testing.T) {
@@ -185,33 +114,35 @@ func TestExplicitInfBucketPanics(t *testing.T) {
 			t.Fatal("+Inf bucket did not panic")
 		}
 	}()
-	NewRegistry().Histogram("h", "", []float64{1, math.Inf(1)})
+	NewHistogram([]float64{1, math.Inf(1)})
 }
 
 func TestConcurrentObserves(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.HistogramVec("h", "", []float64{0.5}, "l")
-	c := reg.CounterVec("c", "", "l")
+	h := NewHistogram([]float64{0.5})
+	var c Counter
+	var g Gauge
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lbl := []string{"a", "b"}[w%2]
+			v := []float64{0.25, 0.75}[w%2]
 			for i := 0; i < 1000; i++ {
-				h.With(lbl).Observe(0.25)
-				c.With(lbl).Inc()
+				h.Observe(v)
+				c.Inc()
+				g.Add(1)
+				g.Add(-1)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Sum(nil); got != 8000 {
-		t.Fatalf("counter sum = %d, want 8000", got)
+	if got := c.Value(); got != 8000 {
+		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := h.Count(); got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
+	if got := g.Value(); got != 0 {
+		t.Fatalf("gauge = %v after balanced adds, want 0", got)
 	}
-	if got := h.With("a").Sum(); got != 4000*0.25 {
-		t.Fatalf("series a sum = %v, want 1000", got)
+	if got := h.BucketCounts(); got[0] != 4000 || got[1] != 4000 {
+		t.Fatalf("bucket counts = %v, want [4000 4000]", got)
 	}
 }

@@ -14,10 +14,8 @@
 //     out of machine.EventRing so the cycle-level pipeline trace and the
 //     request-level span trace export through one writer and load in the
 //     same viewers (chrome://tracing, ui.perfetto.dev).
-//   - metrics.go: counters, gauges, and fixed-bucket histograms with
-//     label vectors, replacing rcserve's sliding-window latency sort.
-//   - prom.go: Prometheus text exposition over a metric Registry, plus a
-//     strict parser of the format used by tests in place of promtool.
+//   - metrics.go: counters, gauges, and fixed-bucket histograms, usable
+//     directly as expvar.Var values.
 //
 // Everything is nil-tolerant on the hot path: with tracing disabled a
 // request carries no span, StartSpan returns its context unchanged, and

@@ -11,126 +11,100 @@ import (
 	"regconn/internal/store"
 )
 
-// metrics is the daemon's metric set, built on the internal/obs registry:
-// labeled counters and fixed-bucket latency histograms replacing the old
-// flat expvar ints and the 1024-sample sorted latency window. The
-// registry renders two ways from one source of truth: Prometheus text
-// exposition (GET /metrics?format=prometheus) and the legacy expvar JSON
-// map, whose keys are derived views (sums over the labeled families,
-// quantiles over the merged histogram) so pre-existing scrapers and
-// tests see exactly the shape they always did.
+// metrics is the daemon's metric set: plain counters, one gauge and one
+// fixed-bucket latency histogram over every answered point, all
+// published into one flat expvar map — the single GET /metrics
+// exposition, decodable as map[string]float64. The map is built once;
+// Server.Metrics hands out the same *expvar.Map on every call, and its
+// entries are the live values themselves, so a scrape only renders it.
 //
 // Nothing here is published to the process-global expvar registry — it
 // panics on duplicate names and tests construct many servers per
 // process. cmd/rcserve publishes the map once under "rcserve".
 //
-// The registered families are documented in DESIGN.md §15's metric
-// table; scripts/metricslint.sh cross-checks code against that table in
-// both directions.
+// The keys are documented in DESIGN.md §15's metric table;
+// scripts/metricslint.sh cross-checks the Set calls below against that
+// table in both directions.
 type metrics struct {
-	reg *obs.Registry
+	vars *expvar.Map
 
-	requests     *obs.CounterVec   // by endpoint
-	errors       *obs.CounterVec   // by endpoint
-	points       *obs.CounterVec   // by endpoint, source (hit|miss|coalesced)
-	latency      *obs.HistogramVec // by endpoint, backend; seconds
-	inflight     *obs.Gauge
-	slowRequests *obs.Counter
-
-	sweepPointErrors *obs.Counter
-	peerForwarded    *obs.CounterVec // by peer
-	peerFallback     *obs.CounterVec // by peer
-	peerOKAge        *obs.GaugeVec   // by peer; refreshed at scrape
-	peerFailAge      *obs.GaugeVec   // by peer; refreshed at scrape
-	storeErrors      *obs.Counter
+	requests         obs.Counter
+	errors           obs.Counter // status >= 400, plus sweeps whose every point failed
+	hits             obs.Counter
+	misses           obs.Counter
+	coalesced        obs.Counter
+	inflight         obs.Gauge
+	slowRequests     obs.Counter
+	sweepPointErrors obs.Counter
+	peerForwarded    obs.Counter
+	peerFallback     obs.Counter
+	storeErrors      obs.Counter
+	latency          *obs.Histogram // seconds, every route (run, sweep, replay)
 
 	health *peerHealth // nil when unsharded
-
-	legacy *expvar.Map // built once; Funcs pull live values at render
 }
 
-// newMetrics registers every family. cache and st (st may be nil) feed
-// the scrape-time gauges; peers are the fleet's other replicas, whose
-// liveness series exist from startup so a scrape sees a never-contacted
-// peer as age -1 rather than as a missing series.
+// newMetrics builds the metric set and its map. cache and st (st may be
+// nil) feed the render-time entries; peers are the fleet's other
+// replicas, whose liveness keys exist from startup so a scrape sees a
+// never-contacted peer as age -1 rather than as a missing key.
 func newMetrics(cache *lruCache, st *store.Store, peers []string) *metrics {
-	reg := obs.NewRegistry()
-	m := &metrics{
-		reg: reg,
-		requests: reg.CounterVec("rcserve_requests_total",
-			"HTTP requests accepted", "endpoint"),
-		errors: reg.CounterVec("rcserve_errors_total",
-			"requests answered with status >= 400, plus sweeps whose every point failed", "endpoint"),
-		points: reg.CounterVec("rcserve_points_total",
-			"points answered, by how the bytes were produced (hit, miss, coalesced)", "endpoint", "source"),
-		latency: reg.HistogramVec("rcserve_point_latency_seconds",
-			"per-point answer latency, every route (run and sweep)", nil, "endpoint", "backend"),
-		inflight: reg.Gauge("rcserve_inflight",
-			"simulations currently executing"),
-		slowRequests: reg.Counter("rcserve_slow_requests_total",
-			"requests slower than the slow-request threshold"),
-		sweepPointErrors: reg.Counter("rcserve_sweep_point_errors_total",
-			"failed points inside 200 NDJSON sweep streams"),
-		peerForwarded: reg.CounterVec("rcserve_peer_forwarded_total",
-			"sweep points answered by the owning peer replica", "peer"),
-		peerFallback: reg.CounterVec("rcserve_peer_fallback_total",
-			"peer-owned points computed locally because the peer failed", "peer"),
-		peerOKAge: reg.GaugeVec("rcserve_peer_ok_age_seconds",
-			"seconds since the last fully successful forward to the peer (-1 = never)", "peer"),
-		peerFailAge: reg.GaugeVec("rcserve_peer_fail_age_seconds",
-			"seconds since the last failed forward to the peer (-1 = never)", "peer"),
-		storeErrors: reg.Counter("rcserve_store_errors_total",
-			"store appends that failed (result still served)"),
-	}
-	reg.GaugeFunc("rcserve_cache_entries",
-		"entries resident in the LRU result cache",
-		func() float64 { return float64(cache.len()) })
-	reg.GaugeFunc("rcserve_cache_evictions",
-		"entries evicted from the LRU since start",
-		func() float64 { return float64(cache.evicted()) })
+	m := &metrics{vars: new(expvar.Map).Init(), latency: obs.NewHistogram(nil)}
+	v := m.vars
+	v.Set("requests", &m.requests)
+	v.Set("errors", &m.errors)
+	v.Set("cache_hits", &m.hits)
+	v.Set("cache_misses", &m.misses)
+	v.Set("coalesced", &m.coalesced)
+	v.Set("inflight", &m.inflight)
+	v.Set("slow_requests", &m.slowRequests)
+	v.Set("sweep_point_errors", &m.sweepPointErrors)
+	v.Set("peer_forwarded", &m.peerForwarded)
+	v.Set("peer_fallback", &m.peerFallback)
+	v.Set("store_errors", &m.storeErrors)
+	v.Set("cache_entries", intFunc(func() int64 { return int64(cache.len()) }))
+	v.Set("cache_evictions", intFunc(cache.evicted))
 	if st != nil {
-		reg.GaugeFunc("rcserve_store_entries", "points in the persistent store",
-			func() float64 { return float64(st.Stats().Entries) })
-		reg.GaugeFunc("rcserve_store_bytes", "bytes in the persistent store's segments",
-			func() float64 { return float64(st.Stats().Bytes) })
-		reg.GaugeFunc("rcserve_store_hits", "points served from the persistent store",
-			func() float64 { return float64(st.Stats().Hits) })
-		reg.GaugeFunc("rcserve_store_recovered", "records recovered by the torn-tail scan at open",
-			func() float64 { return float64(st.Stats().Recovered) })
+		v.Set("store_entries", intFunc(func() int64 { return st.Stats().Entries }))
+		v.Set("store_bytes", intFunc(func() int64 { return st.Stats().Bytes }))
+		v.Set("store_hits", intFunc(func() int64 { return st.Stats().Hits }))
+		v.Set("store_recovered", intFunc(func() int64 { return st.Stats().Recovered }))
 	}
+	v.Set("latency_p50_ms", floatFunc(func() float64 { return m.latency.Quantile(0.50) * 1000 }))
+	v.Set("latency_p99_ms", floatFunc(func() float64 { return m.latency.Quantile(0.99) * 1000 }))
 	if len(peers) > 0 {
 		m.health = newPeerHealth()
-		for _, p := range peers {
-			m.peerOKAge.With(p).Set(-1)
-			m.peerFailAge.With(p).Set(-1)
-			m.peerForwarded.With(p)
-			m.peerFallback.With(p)
-		}
 	}
-	m.legacy = m.buildLegacyMap(cache, st, peers)
+	// Peer liveness, one flat key per peer (age in seconds; -1 = never
+	// happened).
+	for _, p := range peers {
+		peer := p
+		v.Set("peer_ok_age_s;peer="+peer, floatFunc(func() float64 {
+			ok, _ := m.health.last(peer)
+			return age(time.Now(), ok)
+		}))
+		v.Set("peer_fail_age_s;peer="+peer, floatFunc(func() float64 {
+			_, fail := m.health.last(peer)
+			return age(time.Now(), fail)
+		}))
+	}
 	return m
 }
 
-// observe records one answered point: the source counter and the latency
-// histogram, labeled by endpoint and backend. Every route goes through
-// it (run, sweep-local, sweep-fallback), which is what makes the p50/p99
-// truthful for sweep-dominated traffic.
-func (m *metrics) observe(endpoint string, arch regconn.Arch, src pointSource, d time.Duration) {
-	m.points.With(endpoint, src.label()).Inc()
-	m.latency.With(endpoint, backendLabel(arch)).Observe(d.Seconds())
-}
-
-// refresh recomputes the scrape-time peer liveness gauges. Called by
-// handleMetrics before either rendering.
-func (m *metrics) refresh() {
-	if m.health == nil {
-		return
+// observe records one answered point: its source counter and the
+// latency histogram. Every route goes through resolve (run, sweep-local,
+// sweep-fallback, replay), which is what makes the p50/p99 truthful for
+// sweep-dominated traffic.
+func (m *metrics) observe(src pointSource, d time.Duration) {
+	switch src {
+	case srcHit:
+		m.hits.Inc()
+	case srcCoalesced:
+		m.coalesced.Inc()
+	default:
+		m.misses.Inc()
 	}
-	now := time.Now()
-	m.health.each(func(peer string, lastOK, lastFail time.Time) {
-		m.peerOKAge.With(peer).Set(age(now, lastOK))
-		m.peerFailAge.With(peer).Set(age(now, lastFail))
-	})
+	m.latency.Observe(d.Seconds())
 }
 
 func age(now, t time.Time) float64 {
@@ -141,7 +115,7 @@ func age(now, t time.Time) float64 {
 }
 
 // backendLabel names the register architecture of a (canonicalized) Arch
-// for the latency histogram's backend label.
+// for the point span's backend attribute.
 func backendLabel(arch regconn.Arch) string {
 	if arch.Backend != "" {
 		return arch.Backend
@@ -155,54 +129,3 @@ func backendLabel(arch regconn.Arch) string {
 // intFunc and floatFunc adapt live reads into expvar map entries.
 func intFunc(f func() int64) expvar.Func     { return func() any { return f() } }
 func floatFunc(f func() float64) expvar.Func { return func() any { return f() } }
-
-// buildLegacyMap assembles the expvar map served as GET /metrics JSON —
-// the same flat map[string]float64 shape as before the obs registry,
-// every key a live view over the labeled families. It is built exactly
-// once; Server.Metrics hands out this same *expvar.Map on every call.
-func (m *metrics) buildLegacyMap(cache *lruCache, st *store.Store, peers []string) *expvar.Map {
-	out := new(expvar.Map).Init()
-	sum := func(v *obs.CounterVec) expvar.Func {
-		return intFunc(func() int64 { return v.Sum(nil) })
-	}
-	srcSum := func(src string) expvar.Func {
-		return intFunc(func() int64 {
-			return m.points.Sum(func(values []string) bool { return values[1] == src })
-		})
-	}
-	out.Set("requests", sum(m.requests))
-	out.Set("cache_hits", srcSum("hit"))
-	out.Set("cache_misses", srcSum("miss"))
-	out.Set("coalesced", srcSum("coalesced"))
-	out.Set("inflight", intFunc(func() int64 { return int64(m.inflight.Value()) }))
-	out.Set("errors", sum(m.errors))
-	out.Set("slow_requests", intFunc(m.slowRequests.Value))
-	out.Set("sweep_point_errors", intFunc(m.sweepPointErrors.Value))
-	out.Set("peer_forwarded", sum(m.peerForwarded))
-	out.Set("peer_fallback", sum(m.peerFallback))
-	out.Set("store_errors", intFunc(m.storeErrors.Value))
-	out.Set("cache_entries", intFunc(func() int64 { return int64(cache.len()) }))
-	out.Set("cache_evictions", intFunc(cache.evicted))
-	if st != nil {
-		out.Set("store_entries", intFunc(func() int64 { return st.Stats().Entries }))
-		out.Set("store_bytes", intFunc(func() int64 { return st.Stats().Bytes }))
-		out.Set("store_hits", intFunc(func() int64 { return st.Stats().Hits }))
-		out.Set("store_recovered", intFunc(func() int64 { return st.Stats().Recovered }))
-	}
-	out.Set("latency_p50_ms", floatFunc(func() float64 { return m.latency.Quantile(0.50) * 1000 }))
-	out.Set("latency_p99_ms", floatFunc(func() float64 { return m.latency.Quantile(0.99) * 1000 }))
-	// Peer liveness, one flat key per peer so the map stays decodable as
-	// map[string]float64 (age in seconds; -1 = never happened).
-	for _, p := range peers {
-		peer := p
-		out.Set("peer_ok_age_s;peer="+peer, floatFunc(func() float64 {
-			ok, _ := m.health.last(peer)
-			return age(time.Now(), ok)
-		}))
-		out.Set("peer_fail_age_s;peer="+peer, floatFunc(func() float64 {
-			_, fail := m.health.last(peer)
-			return age(time.Now(), fail)
-		}))
-	}
-	return out
-}

@@ -150,30 +150,6 @@ func (h *peerHealth) last(peer string) (ok, fail time.Time) {
 	return h.lastOK[peer], h.lastFail[peer]
 }
 
-// each visits every peer that has either timestamp.
-func (h *peerHealth) each(f func(peer string, lastOK, lastFail time.Time)) {
-	h.mu.Lock()
-	peers := map[string]bool{}
-	for p := range h.lastOK {
-		peers[p] = true
-	}
-	for p := range h.lastFail {
-		peers[p] = true
-	}
-	type entry struct {
-		peer     string
-		ok, fail time.Time
-	}
-	entries := make([]entry, 0, len(peers))
-	for p := range peers {
-		entries = append(entries, entry{p, h.lastOK[p], h.lastFail[p]})
-	}
-	h.mu.Unlock()
-	for _, e := range entries {
-		f(e.peer, e.ok, e.fail)
-	}
-}
-
 // ---------------------------------------------------------- sweep table
 
 // sweepTable tracks in-flight sweeps (plus a short tail of finished

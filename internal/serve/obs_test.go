@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -355,102 +356,83 @@ func TestMetricsSamePointer(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheusExposition scrapes /metrics in Prometheus text
-// format and runs it through the strict in-repo parser.
-func TestMetricsPrometheusExposition(t *testing.T) {
-	sv := newServer(t, Config{Workers: 2})
-	srv := httptest.NewServer(sv)
-	defer srv.Close()
-	if resp, _ := postRun(t, srv, RunRequest{Benchmark: "matrix300", Arch: fastArch()}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("run: %d", resp.StatusCode)
+// TestMetricsKeySet pins GET /metrics, the one exposition: its exact key
+// set for a memory-only server, a store-backed one and a member of a
+// two-replica fleet, and its body, which is the map Server.Metrics
+// returns, rendered. A run and a replay each move the request counter
+// and the latency quantiles.
+func TestMetricsKeySet(t *testing.T) {
+	base := []string{
+		"cache_entries", "cache_evictions", "cache_hits", "cache_misses", "coalesced",
+		"errors", "inflight", "latency_p50_ms", "latency_p99_ms", "peer_fallback",
+		"peer_forwarded", "requests", "slow_requests", "store_errors", "sweep_point_errors",
 	}
-
-	resp, err := srv.Client().Get(srv.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("Content-Type = %q, want the 0.0.4 text exposition", ct)
-	}
-	fams, err := obs.ParsePrometheus(resp.Body)
-	if err != nil {
-		t.Fatalf("exposition rejected by the strict parser: %v", err)
-	}
-	byName := map[string]obs.PromFamily{}
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	req := byName["rcserve_requests_total"]
-	var runReqs float64
-	for _, s := range req.Samples {
-		if s.Labels["endpoint"] == "run" {
-			runReqs = s.Value
-		}
-	}
-	if req.Type != "counter" || runReqs < 1 {
-		t.Fatalf("rcserve_requests_total{endpoint=run} = %v (family %+v)", runReqs, req)
-	}
-	lat := byName["rcserve_point_latency_seconds"]
-	if lat.Type != "histogram" || len(lat.Samples) == 0 {
-		t.Fatalf("rcserve_point_latency_seconds = %+v", lat)
-	}
-	if _, ok := byName["rcserve_inflight"]; !ok {
-		t.Fatal("rcserve_inflight gauge missing from exposition")
-	}
-
-	// The Accept header selects the same format.
-	hreq, _ := http.NewRequest("GET", srv.URL+"/metrics", nil)
-	hreq.Header.Set("Accept", "text/plain")
-	hresp, err := srv.Client().Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	if _, err := obs.ParsePrometheus(hresp.Body); err != nil {
-		t.Fatalf("Accept: text/plain did not yield a parseable exposition: %v", err)
-	}
-}
-
-// TestWantsPrometheus: format selection is real content negotiation,
-// not an Accept substring sniff — a JSON scraper that happens to
-// mention text/plain with a low (or zero) preference keeps getting the
-// legacy JSON view.
-func TestWantsPrometheus(t *testing.T) {
+	const self, peer = "http://a:1", "http://b:1"
+	run, _ := json.Marshal(RunRequest{Benchmark: "matrix300", Arch: fastArch()})
 	cases := []struct {
-		query, accept string
-		want          bool
+		name  string
+		cfg   Config
+		extra []string
+		path  string // a point request whose latency the quantiles must show
+		body  []byte
 	}{
-		{"", "", false},
-		{"format=prometheus", "", true},
-		{"format=prometheus", "application/json", true},
-		{"format=json", "text/plain", false},
-		{"", "text/plain", true},
-		{"", "text/plain; version=0.0.4", true},
-		{"", "application/openmetrics-text; version=1.0.0; q=0.9", true},
-		{"", "text/plain;q=0", false},
-		{"", "application/json, text/plain;q=0.1", false},
-		{"", "text/plain;q=0.9, application/json;q=0.2", true},
-		{"", "*/*", false},
-		{"", "text/html", false},
-		{"", "not an accept header", false},
+		{"memory", Config{Workers: 1}, nil, "/v1/run", run},
+		{"store", Config{Workers: 1, StoreDir: t.TempDir()},
+			[]string{"store_bytes", "store_entries", "store_hits", "store_recovered"},
+			"/v1/replay", encodedTrace(t, "gen/mixed/1")},
+		{"peers", Config{Workers: 1, Peers: []string{self, peer}, Self: self},
+			[]string{"peer_fail_age_s;peer=" + peer, "peer_ok_age_s;peer=" + peer}, "", nil},
 	}
 	for _, c := range cases {
-		url := "http://x/metrics"
-		if c.query != "" {
-			url += "?" + c.query
-		}
-		r, err := http.NewRequest("GET", url, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.accept != "" {
-			r.Header.Set("Accept", c.accept)
-		}
-		if got := wantsPrometheus(r); got != c.want {
-			t.Errorf("wantsPrometheus(query=%q, accept=%q) = %v, want %v",
-				c.query, c.accept, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			sv := newServer(t, c.cfg)
+			vars := sv.Metrics()
+			scrape := func() map[string]float64 {
+				rec := httptest.NewRecorder()
+				sv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+				if got, want := rec.Body.String(), vars.String()+"\n"; got != want {
+					t.Fatalf("GET /metrics body is not Server.Metrics() rendered:\n got %s\nwant %s", got, want)
+				}
+				var m map[string]float64
+				if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			m := scrape()
+			want := append(append([]string(nil), base...), c.extra...)
+			slices.Sort(want)
+			var got []string
+			for k := range m {
+				got = append(got, k)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("/metrics keys:\n got %q\nwant %q", got, want)
+			}
+			if sv.Metrics() != vars {
+				t.Fatal("Metrics() returned a different map after a scrape")
+			}
+			if c.path == "" {
+				return
+			}
+			if m["latency_p50_ms"] != 0 || m["latency_p99_ms"] != 0 {
+				t.Fatalf("latency quantiles non-zero before any point: %v", m)
+			}
+			rec := httptest.NewRecorder()
+			sv.ServeHTTP(rec, httptest.NewRequest("POST", c.path, bytes.NewReader(c.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", c.path, rec.Code, rec.Body)
+			}
+			after := scrape()
+			if after["requests"] != m["requests"]+2 { // the point request and this scrape
+				t.Errorf("requests %v -> %v, want +2", m["requests"], after["requests"])
+			}
+			if after["latency_p50_ms"] <= 0 || after["latency_p99_ms"] <= 0 {
+				t.Errorf("latency quantiles still zero after %s: p50 %v p99 %v",
+					c.path, after["latency_p50_ms"], after["latency_p99_ms"])
+			}
+		})
 	}
 }
 

@@ -1,17 +1,20 @@
 // Package serve is the simulation-as-a-service layer: a long-running HTTP
 // daemon (cmd/rcserve) exposing the experiment runner. One POST /v1/run
 // simulates a single benchmark × Arch point; POST /v1/sweep streams a grid
-// as NDJSON; GET /v1/figures/{id} regenerates a paper figure; /healthz and
-// /metrics round out operability.
+// as NDJSON; POST /v1/replay replays an rctrace file; GET /v1/figures/{id}
+// regenerates a paper figure; /healthz and /metrics (one flat JSON map)
+// round out operability.
 //
-// The hot path is: canonical key → bounded LRU (marshaled response bytes,
+// Every point — a run, each local sweep job, a replay — is answered by
+// one pipeline, resolve: canonical key → bounded LRU (marshaled response bytes,
 // so a warm hit is byte-identical to the cold run that filled it) →
 // persistent store (when -store-dir is set: the disk-backed,
 // crash-recoverable result corpus, read through into the LRU) →
 // waiter-counted singleflight (concurrent identical requests collapse to
 // one simulation; the simulation's context is canceled only when every
-// waiter has gone) → bounded worker pool → exp.RunPoint, whose context
-// reaches machine.RunContext's cycle loop. Canceled or failed points are
+// waiter has gone) → bounded worker pool → the caller's compute closure
+// (exp.RunPoint or Trace.Replay, whose context reaches the machine's
+// cycle loop) → store append → LRU. Canceled or failed points are
 // never cached, so a cancellation cannot corrupt later results. With
 // -peers, /v1/sweep additionally shards grid points across replicas by
 // consistent key hash (shard.go) so a fleet splits the corpus.
@@ -26,12 +29,10 @@ import (
 	"expvar"
 	"fmt"
 	"log/slog"
-	"mime"
 	"net/http"
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -63,7 +64,7 @@ type Config struct {
 	// Self is this replica's entry in Peers (required with Peers).
 	Self string
 
-	// Trace enables request tracing: every run/sweep/figures request
+	// Trace enables request tracing: every run/replay/sweep/figures request
 	// builds a span tree, retained in memory (TraceKeep) and served by
 	// GET /debug/trace. Off by default: with tracing off requests carry
 	// no span and the instrumentation is nil no-ops.
@@ -77,7 +78,7 @@ type Config struct {
 	// Logger receives structured request logs (nil = discard).
 	Logger *slog.Logger
 	// SlowThreshold marks requests slower than it as slow (logged at
-	// Warn, counted in rcserve_slow_requests_total; 0 = 2s).
+	// Warn, counted in the slow_requests metric; 0 = 2s).
 	SlowThreshold time.Duration
 }
 
@@ -136,8 +137,8 @@ func New(cfg Config) (*Server, error) {
 		s.peerClient = &http.Client{}
 	}
 	// The metric set is built after cache/store/ring exist: the
-	// scrape-time gauges close over them, and the fleet's peer-liveness
-	// series are registered up front for every peer we could forward to.
+	// render-time entries close over them, and the fleet's peer-liveness
+	// keys are registered up front for every peer we could forward to.
 	var others []string
 	for _, p := range cfg.Peers {
 		if p != cfg.Self {
@@ -170,17 +171,17 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Metrics exposes the legacy counter map (cmd/rcserve publishes it to
-// expvar). The map is assembled exactly once — every call returns the
-// same *expvar.Map, whose entries are live views over the obs registry —
+// Metrics exposes the metric map served by GET /metrics (cmd/rcserve
+// publishes it to expvar). The map is assembled exactly once — every
+// call returns the same *expvar.Map, whose entries are the live values —
 // so scraping it does not rebuild anything.
-func (s *Server) Metrics() *expvar.Map { return s.met.legacy }
+func (s *Server) Metrics() *expvar.Map { return s.met.vars }
 
 // SetDraining flips /healthz to 503 so load balancers stop routing new
 // work here while http.Server.Shutdown lets inflight requests finish.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
-// endpointOf classifies a request for metric labels and trace roots.
+// endpointOf classifies a request for trace roots and the request log.
 func endpointOf(r *http.Request) string {
 	p := r.URL.Path
 	switch {
@@ -212,7 +213,7 @@ func traceableEndpoint(ep string) bool {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ep := endpointOf(r)
-	s.met.requests.With(ep).Inc()
+	s.met.requests.Inc()
 
 	// Every request gets a request ID: the client's own X-Request-ID when
 	// it is safe to echo (peer sub-sweeps propagate theirs so one sweep is
@@ -238,7 +239,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(start)
 
 	if sw.status >= 400 {
-		s.met.errors.With(ep).Inc()
+		s.met.errors.Inc()
 	}
 	if tr != nil {
 		root.End()
@@ -419,37 +420,29 @@ func (src pointSource) String() string {
 	}
 }
 
-// label is the source's metric-label spelling.
-func (src pointSource) label() string {
-	switch src {
-	case srcHit:
-		return "hit"
-	case srcCoalesced:
-		return "coalesced"
-	default:
-		return "miss"
-	}
-}
+// computeFunc produces one point's response bytes on a miss. It runs in
+// the flight owner's worker slot; fl is the owner's flight span, under
+// which the closure opens its own simulate or replay span.
+type computeFunc func(ctx context.Context, fl *obs.Span) ([]byte, error)
 
-// point answers one (benchmark, arch) coordinate: LRU, then the
-// persistent store, then singleflight, then a worker slot, then the
-// simulation. It returns the response bytes and their source. Every
-// route into a point — /v1/run and each /v1/sweep job alike — comes
-// through here, so the deferred observe covers per-point latency and the
-// source counters uniformly, and the span tree (when the request is
-// traced) records each stage.
-func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch) (body []byte, src pointSource, err error) {
-	// Canonicalize before keying so the cached response body names the
-	// point the same way the key hashes it, whichever spelling (Backend
-	// name or legacy Mode number) the client used.
-	arch = arch.Canonical()
-	k := Key(bm.Name, arch)
+// resolve answers one point: LRU, then the persistent store, then
+// singleflight, then a worker slot, then compute, whose bytes are
+// appended to the store and put in the LRU. It returns the response
+// bytes and their source. Every route into a point — /v1/run, each
+// local /v1/sweep job and /v1/replay — comes through here, so the
+// deferred observe covers per-point latency and the source counters
+// uniformly, and the span tree (when the request is traced) records each
+// stage. backend names the point's register architecture for the point
+// span; it is called only when the request is traced.
+func (s *Server) resolve(ctx context.Context, name, k string, backend func() string, compute computeFunc) (body []byte, src pointSource, err error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "point")
-	span.Set("benchmark", bm.Name).Set("key", k).Set("backend", backendLabel(arch))
+	if span != nil {
+		span.Set("benchmark", name).Set("key", k).Set("backend", backend())
+	}
 	defer func() {
 		span.Set("cache", src.String()).End()
-		s.met.observe(endpoint, arch, src, time.Since(start))
+		s.met.observe(src, time.Since(start))
 	}()
 	lk := span.Child("cache.lookup")
 	b, ok := s.cache.get(k)
@@ -469,7 +462,7 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 		}
 	}
 	// The flight span covers the whole wait; only the owner's closure
-	// runs, so the simulate/store.append children attach to exactly one
+	// runs, so the compute/store.append children attach to exactly one
 	// request's tree — the owner's.
 	fl := span.Child("flight")
 	val, err, shared := s.flights.Do(ctx, k, func(fctx context.Context) ([]byte, error) {
@@ -481,15 +474,7 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 		defer func() { <-s.sem }()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
-		sim := fl.Child("simulate")
-		res, err := exp.RunPoint(obs.NewContext(fctx, sim), bm, arch)
-		if err != nil {
-			sim.End()
-			return nil, err
-		}
-		sim.Set("cycles", res.Cycles).Set("instrs", res.Instrs)
-		sim.End()
-		b, err := json.Marshal(RunResponse{Benchmark: bm.Name, Arch: arch, Key: k, Result: res})
+		b, err := compute(fctx, fl)
 		if err != nil {
 			return nil, err
 		}
@@ -514,6 +499,27 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 	}
 	fl.Set("role", "own").End()
 	return val, srcMiss, err
+}
+
+// runPoint answers one (benchmark, arch) coordinate — /v1/run and each
+// local /v1/sweep job — by simulating it through exp.RunPoint.
+func (s *Server) runPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) ([]byte, pointSource, error) {
+	// Canonicalize before keying so the cached response body names the
+	// point the same way the key hashes it, whichever spelling (Backend
+	// name or legacy Mode number) the client used.
+	arch = arch.Canonical()
+	k := Key(bm.Name, arch)
+	return s.resolve(ctx, bm.Name, k, func() string { return backendLabel(arch) },
+		func(ctx context.Context, fl *obs.Span) ([]byte, error) {
+			sim := fl.Child("simulate")
+			res, err := exp.RunPoint(obs.NewContext(ctx, sim), bm, arch)
+			if err != nil {
+				sim.End()
+				return nil, err
+			}
+			sim.Set("cycles", res.Cycles).Set("instrs", res.Instrs).End()
+			return json.Marshal(RunResponse{Benchmark: bm.Name, Arch: arch, Key: k, Result: res})
+		})
 }
 
 // requestContext applies the per-request deadline: the server default,
@@ -554,9 +560,18 @@ func writeError(w http.ResponseWriter, status int, body errorBody) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// maxRequestBody bounds a /v1/run or /v1/sweep request body. The largest
+// body a replica itself sends sets its size: an explicit-points sub-sweep
+// carrying one owner's slice of a grid, at about 530 bytes per point (a
+// fully spelled-out Arch plus a workload spec). 8 MiB holds about 15,000
+// points, over 15× the 846 points of the whole figure suite. A larger
+// slice is refused by the peer with a 400 and the forwarding replica
+// computes it locally, so the bound costs shard affinity, never results.
+const maxRequestBody = 8 << 20
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
@@ -567,7 +582,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	body, src, err := s.point(ctx, "run", bm, req.Arch)
+	body, src, err := s.runPoint(ctx, bm, req.Arch)
 	if err != nil {
 		writeError(w, statusFor(err), errorBody{Benchmark: bm.Name, Key: Key(bm.Name, req.Arch), Error: err.Error()})
 		return
@@ -596,9 +611,8 @@ const maxReplayBody = workload.MaxTracePayload + 4096
 // (rcrun -emit-trace / rcgen emit), replayed through the simulator
 // without re-entering the IR pipeline. Malformed, corrupt, or truncated
 // traces are a structured 400; a valid trace is keyed by its payload
-// checksum and served through the same LRU/store/flight stack as any
-// other point, so repeated replays of one trace are warm byte-identical
-// hits.
+// checksum and answered by resolve like any other point, so repeated
+// replays of one trace are warm byte-identical hits.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	tr, key, err := workload.DecodeTrace(http.MaxBytesReader(w, r.Body, maxReplayBody))
 	if err != nil {
@@ -607,7 +621,25 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	body, src, err := s.replayPoint(ctx, tr, key)
+	body, src, err := s.resolve(ctx, tr.Name, key, func() string {
+		// The recorded arch JSON is the canonical regconn.Arch encoding;
+		// decoded only for the traced point span's backend attribute.
+		var arch regconn.Arch
+		_ = json.Unmarshal(tr.Arch, &arch)
+		return backendLabel(arch)
+	}, func(ctx context.Context, fl *obs.Span) ([]byte, error) {
+		// The recorded configuration is fed straight to the machine and
+		// verified against the trace's recorded oracle outcome and cycle
+		// counts.
+		sim := fl.Child("replay")
+		res, err := tr.Replay(obs.NewContext(ctx, sim))
+		if err != nil {
+			sim.End()
+			return nil, err
+		}
+		sim.Set("cycles", res.Cycles).Set("instrs", res.Instrs).End()
+		return json.Marshal(ReplayResponse{Name: tr.Name, Key: key, Arch: tr.Arch, Ret: res.RetInt, Stats: res.Stats()})
+	})
 	if err != nil {
 		writeError(w, statusFor(err), errorBody{Benchmark: tr.Name, Key: key, Error: err.Error()})
 		return
@@ -617,81 +649,9 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// replayPoint is point's twin for trace replays: same LRU → store →
-// flight → worker-slot path, but the simulation is Trace.Replay — the
-// recorded configuration fed straight to the machine, verified against
-// the trace's recorded oracle outcome and cycle counts.
-func (s *Server) replayPoint(ctx context.Context, tr *workload.Trace, k string) (body []byte, src pointSource, err error) {
-	// The recorded arch JSON is the canonical regconn.Arch encoding;
-	// decoded here only to label metrics and spans.
-	var arch regconn.Arch
-	_ = json.Unmarshal(tr.Arch, &arch)
-	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "point")
-	span.Set("benchmark", tr.Name).Set("key", k).Set("backend", backendLabel(arch))
-	defer func() {
-		span.Set("cache", src.String()).End()
-		s.met.observe("replay", arch, src, time.Since(start))
-	}()
-	lk := span.Child("cache.lookup")
-	b, ok := s.cache.get(k)
-	lk.End()
-	if ok {
-		return b, srcHit, nil
-	}
-	if s.store != nil {
-		rd := span.Child("store.read")
-		b, ok := s.store.Get(k)
-		rd.End()
-		if ok {
-			s.cache.put(k, b)
-			return b, srcHit, nil
-		}
-	}
-	fl := span.Child("flight")
-	val, err, shared := s.flights.Do(ctx, k, func(fctx context.Context) ([]byte, error) {
-		select {
-		case s.sem <- struct{}{}:
-		case <-fctx.Done():
-			return nil, context.Cause(fctx)
-		}
-		defer func() { <-s.sem }()
-		s.met.inflight.Add(1)
-		defer s.met.inflight.Add(-1)
-		sim := fl.Child("replay")
-		res, err := tr.Replay(obs.NewContext(fctx, sim))
-		if err != nil {
-			sim.End()
-			return nil, err
-		}
-		sim.Set("cycles", res.Cycles).Set("instrs", res.Instrs)
-		sim.End()
-		b, err := json.Marshal(ReplayResponse{Name: tr.Name, Key: k, Arch: tr.Arch, Ret: res.RetInt, Stats: res.Stats()})
-		if err != nil {
-			return nil, err
-		}
-		if s.store != nil {
-			ap := fl.Child("store.append")
-			perr := s.store.Put(k, b)
-			ap.End()
-			if perr != nil {
-				s.met.storeErrors.Inc()
-			}
-		}
-		s.cache.put(k, b)
-		return b, nil
-	})
-	if shared {
-		fl.Set("role", "join").End()
-		return val, srcCoalesced, err
-	}
-	fl.Set("role", "own").End()
-	return val, srcMiss, err
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
@@ -790,7 +750,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The 200 header went out before the first point ran, so statusWriter
 	// cannot see a sweep where every point failed — count it here.
 	if failed > 0 && failed == len(jobs) {
-		s.met.errors.With("sweep").Inc()
+		s.met.errors.Inc()
 	}
 }
 
@@ -836,55 +796,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`{"status":"ok"}` + "\n"))
 }
 
-// wantsPrometheus selects the exposition format. ?format=prometheus (or
-// ?format=json) always wins; otherwise the Accept header is parsed as
-// real content negotiation — the Prometheus scraper sends
-// "text/plain; version=0.0.4" — and Prometheus text is served only when
-// the client's best q for a text exposition type beats its q for
-// application/json. Anything unparseable, q=0, or a mere */* keeps the
-// legacy JSON view, so existing JSON scrapers are never switched by an
-// incidental Accept header.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	promQ, jsonQ := 0.0, 0.0
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err != nil {
-			continue
-		}
-		q := 1.0
-		if qs, ok := params["q"]; ok {
-			v, err := strconv.ParseFloat(qs, 64)
-			if err != nil {
-				continue
-			}
-			q = v
-		}
-		switch mt {
-		case "text/plain", "application/openmetrics-text":
-			promQ = max(promQ, q)
-		case "application/json":
-			jsonQ = max(jsonQ, q)
-		}
-	}
-	return promQ > 0 && promQ > jsonQ
-}
-
+// handleMetrics renders the flat metric map. The map is never rebuilt —
+// its entries are the live values — so a scrape only renders it.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.met.refresh()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.met.reg.WritePrometheus(w)
-		return
-	}
-	// Legacy view: the flat expvar JSON map, same shape as ever. The map
-	// is never rebuilt — its entries are live views — so a scrape only
-	// renders it.
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, s.met.legacy.String())
+	fmt.Fprintln(w, s.met.vars.String())
 }

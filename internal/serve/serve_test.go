@@ -7,9 +7,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -167,6 +169,113 @@ func TestConcurrentIdenticalRequestsCollapse(t *testing.T) {
 	}
 	if got := m["cache_hits"] + m["coalesced"] + m["cache_misses"]; got != n {
 		t.Errorf("hit+coalesced+miss = %v, want %d (each request counted once)", got, n)
+	}
+}
+
+// TestResolvePipeline steps /v1/run and /v1/replay through every source
+// the shared point pipeline answers from, on store-backed servers whose
+// LRU holds one entry: MISS, HIT from the LRU, eviction by another
+// point, HIT read through from the store, and — on a second server with
+// its own store — two concurrent identical requests that meet in one
+// flight (one MISS, one COALESCED). Every answer is byte-identical to
+// the cold one, and each step moves exactly the counter it names.
+func TestResolvePipeline(t *testing.T) {
+	other := fastArch()
+	other.Issue = 2
+	runBody := func(arch regconn.Arch) []byte {
+		b, _ := json.Marshal(RunRequest{Benchmark: "matrix300", Arch: arch})
+		return b
+	}
+	cases := []struct {
+		path         string
+		point, evict []byte
+	}{
+		{"/v1/run", runBody(fastArch()), runBody(other)},
+		{"/v1/replay", encodedTrace(t, "gen/mixed/1"), encodedTrace(t, "gen/call-heavy/2")},
+	}
+	for _, c := range cases {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
+			cfg := func() Config { return Config{Workers: 1, CacheSize: 1, StoreDir: t.TempDir()} }
+			sv := newServer(t, cfg())
+			srv := httptest.NewServer(sv)
+			defer srv.Close()
+
+			// moved checks that each counter moved by exactly its delta.
+			moved := func(name string, before, after, delta map[string]float64) {
+				t.Helper()
+				for _, k := range []string{"cache_hits", "cache_misses", "coalesced", "store_hits"} {
+					if d := after[k] - before[k]; d != delta[k] {
+						t.Errorf("%s: %s moved by %v, want %v", name, k, d, delta[k])
+					}
+				}
+			}
+			step := func(name string, body []byte, wantCache string, delta map[string]float64) []byte {
+				t.Helper()
+				before := getMetrics(t, srv)
+				resp, out := postRaw(t, srv, c.path, "application/octet-stream", body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", name, resp.StatusCode, out)
+				}
+				if got := resp.Header.Get("X-Cache"); got != wantCache {
+					t.Fatalf("%s: X-Cache %q, want %q", name, got, wantCache)
+				}
+				moved(name, before, getMetrics(t, srv), delta)
+				return out
+			}
+			cold := step("cold", c.point, "MISS", map[string]float64{"cache_misses": 1})
+			if warm := step("warm", c.point, "HIT", map[string]float64{"cache_hits": 1}); !bytes.Equal(warm, cold) {
+				t.Fatal("LRU hit differs from the cold body")
+			}
+			step("evict", c.evict, "MISS", map[string]float64{"cache_misses": 1})
+			if rt := step("read-through", c.point, "HIT", map[string]float64{"cache_hits": 1, "store_hits": 1}); !bytes.Equal(rt, cold) {
+				t.Fatal("store read-through hit differs from the cold body")
+			}
+
+			// Hold the only worker slot so both requests are inside one
+			// flight before it runs.
+			sv2 := newServer(t, cfg())
+			srv2 := httptest.NewServer(sv2)
+			defer srv2.Close()
+			var key struct{ Key string }
+			if err := json.Unmarshal(cold, &key); err != nil || key.Key == "" {
+				t.Fatalf("cold body carries no key: %s", cold)
+			}
+			before := getMetrics(t, srv2)
+			sv2.sem <- struct{}{}
+			var wg sync.WaitGroup
+			caches := make([]string, 2)
+			for i := range caches {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := srv2.Client().Post(srv2.URL+c.path, "application/octet-stream", bytes.NewReader(c.point))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					out, err := io.ReadAll(resp.Body)
+					if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(out, cold) {
+						t.Errorf("concurrent request %d: status %d, err %v, body differs from cold: %v",
+							i, resp.StatusCode, err, !bytes.Equal(out, cold))
+					}
+					caches[i] = resp.Header.Get("X-Cache")
+				}(i)
+			}
+			for deadline := time.Now().Add(10 * time.Second); sv2.flights.Waiters(key.Key) < 2; {
+				if time.Now().After(deadline) {
+					t.Fatalf("flight has %d waiters, want 2", sv2.flights.Waiters(key.Key))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			<-sv2.sem
+			wg.Wait()
+			slices.Sort(caches)
+			if !slices.Equal(caches, []string{"COALESCED", "MISS"}) {
+				t.Fatalf("concurrent X-Cache = %v, want one MISS and one COALESCED", caches)
+			}
+			moved("concurrent", before, getMetrics(t, srv2), map[string]float64{"cache_misses": 1, "coalesced": 1})
+		})
 	}
 }
 
@@ -418,14 +527,22 @@ func TestFiguresHealthzMetricsAndBadRequests(t *testing.T) {
 		t.Errorf("healthz: %d", resp.StatusCode)
 	}
 
-	for _, body := range []string{`{"benchmark":"nope","arch":{"Issue":4}}`, `not json`} {
-		resp, err := srv.Client().Post(srv.URL+"/v1/run", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad request %q: %d, want 400", body, resp.StatusCode)
+	// Bad bodies are all structured 400s, including well-formed ones
+	// padded past the request-body bound.
+	arch, _ := json.Marshal(fastArch())
+	pad := strings.Repeat(" ", maxRequestBody)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/run", `{"benchmark":"nope","arch":{"Issue":4}}`},
+		{"/v1/run", `not json`},
+		{"/v1/run", `{"benchmark":"matrix300",` + pad + `"arch":` + string(arch) + `}`},
+		{"/v1/sweep", `not json`},
+		{"/v1/sweep", `{"benchmarks":["matrix300"]}`},
+		{"/v1/sweep", `{"benchmarks":["matrix300"],` + pad + `"archs":[` + string(arch) + `]}`},
+	} {
+		resp, body := postRaw(t, srv, c.path, "application/json", []byte(c.body))
+		var eb errorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || eb.Error == "" {
+			t.Errorf("bad %s body %.40q: %d %.200s, want a structured 400", c.path, c.body, resp.StatusCode, body)
 		}
 	}
 

@@ -154,7 +154,7 @@ func (s *Server) relaySweep(ctx context.Context, owner string, jobs []*sweepJob,
 	for i < len(jobs) && sc.Scan() {
 		line := append([]byte(nil), sc.Bytes()...)
 		jobs[i].ch <- result{body: line, remoteErr: isErrorLine(line)}
-		s.met.peerForwarded.With(owner).Inc()
+		s.met.peerForwarded.Inc()
 		i++
 	}
 	return i
@@ -164,16 +164,16 @@ func (s *Server) relaySweep(ctx context.Context, owner string, jobs []*sweepJob,
 // worker pool.
 func (s *Server) fallbackSweep(ctx context.Context, owner string, jobs []*sweepJob) {
 	for _, j := range jobs {
-		s.met.peerFallback.With(owner).Inc()
+		s.met.peerFallback.Inc()
 		go s.runSweepJob(ctx, j)
 	}
 }
 
 // runSweepJob computes one grid point locally and delivers it. Latency
-// and source counters are observed inside point, exactly as on the
+// and source counters are observed inside resolve, exactly as on the
 // /v1/run route.
 func (s *Server) runSweepJob(ctx context.Context, j *sweepJob) {
-	body, _, err := s.point(ctx, "sweep", j.bm, j.arch.Arch)
+	body, _, err := s.runPoint(ctx, j.bm, j.arch.Arch)
 	j.ch <- result{body: body, err: err}
 }
 
