@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rcasm prog.s [-intcore 8] [-fpcore 8] [-total 256] [-issue 4]
-//	      [-model 3] [-dis] [-trace]
+//	      [-model 3] [-dis]
 //
 // -dis prints the (re)disassembled program instead of running it.
 package main

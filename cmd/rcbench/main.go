@@ -32,10 +32,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"time"
 
 	"regconn"
+	"regconn/internal/cli"
 	"regconn/internal/exp"
 	"regconn/internal/machine"
 )
@@ -82,36 +82,16 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, cerr := os.Create(*cpuprofile)
-		if cerr != nil {
-			return cerr
-		}
-		if cerr := pprof.StartCPUProfile(f); cerr != nil {
-			f.Close()
-			return cerr
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := cli.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			runtime.GC()
-			f, merr := os.Create(*memprofile)
-			if merr != nil {
-				if err == nil {
-					err = merr
-				}
-				return
-			}
-			defer f.Close()
-			if merr := pprof.WriteHeapProfile(f); merr != nil && err == nil {
-				err = merr
-			}
-		}()
-	}
+	defer stop()
+	defer func() {
+		if merr := cli.WriteMemProfile(*memprofile); merr != nil && err == nil {
+			err = merr
+		}
+	}()
 
 	newRunner := func() *exp.Runner {
 		r := exp.NewRunner()

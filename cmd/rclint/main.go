@@ -26,12 +26,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"regconn"
 	"regconn/internal/backend"
 	"regconn/internal/bench"
 	"regconn/internal/core"
+	"regconn/internal/exp"
 	"regconn/internal/mapcheck"
 )
 
@@ -126,24 +126,15 @@ func run() error {
 	}
 
 	results := make([]finding, len(points))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxInt(*workers, 1))
-	for i := range points {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pt := points[i]
-			ex, err := regconn.Build(pt.bm.Build(), pt.arch)
-			if err != nil {
-				results[i] = finding{desc: pt.desc, err: err}
-				return
-			}
-			results[i] = finding{desc: pt.desc, vs: ex.MapCheck()}
-		}(i)
-	}
-	wg.Wait()
+	(&exp.Runner{Workers: maxInt(*workers, 1)}).ForAll(len(points), func(i int) {
+		pt := points[i]
+		ex, err := regconn.Build(pt.bm.Build(), pt.arch)
+		if err != nil {
+			results[i] = finding{desc: pt.desc, err: err}
+			return
+		}
+		results[i] = finding{desc: pt.desc, vs: ex.MapCheck()}
+	})
 
 	bad := 0
 	for _, r := range results {

@@ -8,10 +8,11 @@
 // Usage:
 //
 //	rcprof -bench grep [-issue 4] [-load 2] [-channels 0] [-intcore 16]
-//	       [-fpcore 32] [-mode rc|spill|unlimited] [-model 3]
+//	       [-fpcore 32] [-mode rc|spill|unlimited|portreduce|chain] [-model 3]
 //	       [-connect-latency 0] [-no-combine] [-scalar] [-top 20]
 //	rcprof -bench grep -models              connect overhead across the 4 reset models
-//	rcprof -bench grep -trace-json t.json   Chrome trace-event export (chrome://tracing)
+//	rcprof -bench grep -trace-json t.json   Chrome trace-event export (chrome://tracing);
+//	                                        -event-cap N sizes the event ring (default 65536)
 //	rcprof -grid [-workers n]               profile + cross-check the 48-point golden grid
 //
 // -grid sweeps every benchmark × ledger configuration of the golden grid
@@ -23,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 	"text/tabwriter"
 
 	"regconn"
@@ -46,16 +45,7 @@ func main() {
 func run() error {
 	var (
 		bmName    = flag.String("bench", "grep", "benchmark name")
-		issue     = flag.Int("issue", 4, "issue rate (1/2/4/8)")
-		load      = flag.Int("load", 2, "load latency in cycles (2 or 4)")
-		channels  = flag.Int("channels", 0, "memory channels (0 = paper default)")
-		intCore   = flag.Int("intcore", 16, "core integer registers")
-		fpCore    = flag.Int("fpcore", 32, "core floating-point registers")
-		mode      = flag.String("mode", "rc", "register mode: rc, spill, unlimited")
-		model     = flag.Int("model", 3, "RC automatic-reset model 1..4")
-		connLat   = flag.Int("connect-latency", 0, "connect latency (0 or 1)")
-		noComb    = flag.Bool("no-combine", false, "disable combined connects")
-		scalar    = flag.Bool("scalar", false, "scalar optimization only (no ILP)")
+		archOf    = cli.ArchFlags()
 		top       = flag.Int("top", 20, "rows in the top-PC and top-block tables")
 		models    = flag.Bool("models", false, "compare connect overhead across reset models 1..4")
 		traceJSON = flag.String("trace-json", "", "write a Chrome trace-event JSON file and exit")
@@ -74,23 +64,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rcModel, err := cli.ParseModel(*model)
+	arch, err := archOf()
 	if err != nil {
-		return err
-	}
-	arch := regconn.Arch{
-		Issue:           *issue,
-		MemChannels:     *channels,
-		LoadLatency:     *load,
-		IntCore:         *intCore,
-		FPCore:          *fpCore,
-		Model:           rcModel,
-		ConnectLatency:  *connLat,
-		CombineConnects: !*noComb,
-		ScalarOnly:      *scalar,
-		Profile:         true,
-	}
-	if arch.Mode, err = cli.ParseMode(*mode); err != nil {
 		return err
 	}
 
@@ -98,25 +73,13 @@ func run() error {
 		return compareModels(bm, arch)
 	}
 
-	ex, err := regconn.Build(bm.Build(), arch)
-	if err != nil {
-		return err
-	}
-
 	if *traceJSON != "" {
-		ring := machine.NewEventRing(*eventCap)
-		if _, err := ex.RunWithEvents(ring); err != nil {
-			return err
-		}
-		f, err := os.Create(*traceJSON)
+		ex, err := regconn.Build(bm.Build(), arch)
 		if err != nil {
 			return err
 		}
-		if err := ring.WriteTraceJSON(f, ex.Image); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		ring, err := cli.WriteEventTrace(ex, *traceJSON, *eventCap)
+		if err != nil {
 			return err
 		}
 		fmt.Printf("rcprof: wrote %s (%d events, %d dropped; open in chrome://tracing or ui.perfetto.dev)\n",
@@ -124,11 +87,7 @@ func run() error {
 		return nil
 	}
 
-	res, err := ex.Run()
-	if err != nil {
-		return err
-	}
-	p, err := prof.New(ex.Image, res)
+	p, err := profileRun(bm, arch)
 	if err != nil {
 		return err
 	}
@@ -146,22 +105,11 @@ func compareModels(bm bench.Benchmark, arch regconn.Arch) error {
 	for m := core.NoReset; m <= core.ReadWriteReset; m++ {
 		a := arch
 		a.Model = m
-		ex, err := regconn.Build(bm.Build(), a)
+		p, err := profileRun(bm, a)
 		if err != nil {
 			return fmt.Errorf("model %d: %w", m, err)
 		}
-		res, err := ex.Run()
-		if err != nil {
-			return fmt.Errorf("model %d: %w", m, err)
-		}
-		p, err := prof.New(ex.Image, res)
-		if err != nil {
-			return fmt.Errorf("model %d: %w", m, err)
-		}
-		if err := p.CrossCheck(); err != nil {
-			return fmt.Errorf("model %d: %w", m, err)
-		}
-		co := p.ConnectOverhead()
+		res, co := p.Res, p.ConnectOverhead()
 		overhead := co.Cycles + res.StallConn
 		fmt.Fprintf(tw, "%d (%v)\t%d\t%d\t%d\t%d\t%.1f%%\n",
 			int(m), m, res.Cycles, res.Connects, co.Cycles, res.StallConn,
@@ -173,70 +121,48 @@ func compareModels(bm bench.Benchmark, arch regconn.Arch) error {
 // runGrid profiles every golden benchmark×config point and verifies the
 // per-PC attribution sums bit-exactly to the ledger buckets on each.
 func runGrid(quick bool, workers int) error {
-	benches := bench.All()
+	r := exp.NewRunner()
 	if quick {
-		benches = exp.NewQuickRunner().Benchmarks
+		r = exp.NewQuickRunner()
 	}
-	type job struct {
-		bm bench.Benchmark
-		lc exp.LedgerConfig
-	}
-	var jobs []job
-	for _, bm := range benches {
-		for _, lc := range exp.LedgerConfigs(bm) {
-			jobs = append(jobs, job{bm, lc})
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	lines := make([]string, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			jb := jobs[i]
-			a := jb.lc.Arch
-			a.Profile = true
-			ex, err := regconn.Build(jb.bm.Build(), a)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			res, err := ex.Verify()
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			p, err := prof.New(ex.Image, res)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			if err := p.CrossCheck(); err != nil {
-				errs[i] = fmt.Errorf("%s/%s: attribution does not match ledger: %w",
-					jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			co := p.ConnectOverhead()
-			lines[i] = fmt.Sprintf("ok %-10s %-14s cycles=%-9d connects=%-7d connect-cycles=%d",
-				jb.bm.Name, jb.lc.Name, res.Cycles, res.Connects, co.Cycles)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	r.Workers = workers
+	lines, err := exp.EachLedgerPoint(r, func(bm bench.Benchmark, lc exp.LedgerConfig) (string, error) {
+		p, err := profileRun(bm, lc.Arch)
 		if err != nil {
-			return err
+			return "", err
 		}
+		return fmt.Sprintf("ok %-10s %-14s cycles=%-9d connects=%-7d connect-cycles=%d",
+			bm.Name, lc.Name, p.Res.Cycles, p.Res.Connects, p.ConnectOverhead().Cycles), nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, l := range lines {
 		fmt.Println(l)
 	}
-	fmt.Printf("rcprof: %d grid points profiled, every per-PC attribution sums to its ledger bucket\n", len(jobs))
+	fmt.Printf("rcprof: %d grid points profiled, every per-PC attribution sums to its ledger bucket\n", len(lines))
 	return nil
+}
+
+// profileRun builds bm under arch with attribution on, verifies the run
+// against the interpreter oracle, and cross-checks its per-PC attribution
+// against the cycle ledger.
+func profileRun(bm bench.Benchmark, arch regconn.Arch) (*prof.Profile, error) {
+	arch.Profile = true
+	ex, err := regconn.Build(bm.Build(), arch)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ex.Verify()
+	if err != nil {
+		return nil, err
+	}
+	p, err := prof.New(ex.Image, res)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.CrossCheck(); err != nil {
+		return nil, fmt.Errorf("attribution does not match ledger: %w", err)
+	}
+	return p, nil
 }

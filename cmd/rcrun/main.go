@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -52,18 +53,9 @@ func run() error {
 	var (
 		bmName   = flag.String("bench", "grep", "benchmark name (see -list)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
-		issue    = flag.Int("issue", 4, "issue rate (1/2/4/8)")
-		load     = flag.Int("load", 2, "load latency in cycles (2 or 4)")
-		channels = flag.Int("channels", 0, "memory channels (0 = paper default)")
-		intCore  = flag.Int("intcore", 16, "core integer registers")
-		fpCore   = flag.Int("fpcore", 32, "core floating-point registers")
-		mode     = flag.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
+		archOf   = cli.ArchFlags()
 		ports    = flag.Int("readports", 0, "register-file read ports for portreduce (0 = issue rate)")
-		model    = flag.Int("model", 3, "RC automatic-reset model 1..4")
-		connLat  = flag.Int("connect-latency", 0, "connect latency (0 or 1)")
 		stage    = flag.Bool("extra-stage", false, "extra decode pipeline stage")
-		noComb   = flag.Bool("no-combine", false, "disable combined connects")
-		scalar   = flag.Bool("scalar", false, "scalar optimization only (no ILP)")
 		trace    = flag.Int64("trace", 0, "print a per-cycle issue trace for the first N cycles")
 		stats    = flag.Bool("stats", false, "emit machine-readable JSON statistics instead of text")
 		profFlag = flag.Bool("prof", false, "append the per-PC cycle attribution report")
@@ -92,28 +84,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rcModel, err := cli.ParseModel(*model)
+	arch, err := archOf()
 	if err != nil {
 		return err
 	}
-	arch := regconn.Arch{
-		Issue:            *issue,
-		MemChannels:      *channels,
-		LoadLatency:      *load,
-		IntCore:          *intCore,
-		FPCore:           *fpCore,
-		Model:            rcModel,
-		ConnectLatency:   *connLat,
-		ExtraDecodeStage: *stage,
-		CombineConnects:  !*noComb,
-		ScalarOnly:       *scalar,
-		ReadPorts:        *ports,
-	}
-	if arch.Mode, err = cli.ParseMode(*mode); err != nil {
-		return err
-	}
-
-	arch.Profile = *profFlag
+	arch.ReadPorts, arch.ExtraDecodeStage, arch.Profile = *ports, *stage, *profFlag
 	ex, err := regconn.Build(bm.Build(), arch)
 	if err != nil {
 		return err
@@ -138,26 +113,15 @@ func run() error {
 			*emit, key, tr.Cycles, tr.Instrs)
 	}
 	if *traceOut != "" {
-		ring := machine.NewEventRing(0)
-		if _, err := ex.RunWithEvents(ring); err != nil {
-			return err
-		}
-		f, err := os.Create(*traceOut)
+		ring, err := cli.WriteEventTrace(ex, *traceOut, 0)
 		if err != nil {
-			return err
-		}
-		if err := ring.WriteTraceJSON(f, ex.Image); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "rcrun: wrote %s (%d events, %d dropped)\n",
 			*traceOut, len(ring.Events()), ring.Dropped())
 	}
 	if *trace > 0 {
-		if _, err := ex.RunWithTrace(os.Stdout, *trace); err != nil {
+		if _, err := ex.RunObserved(context.Background(), machine.NewTextTrace(os.Stdout, *trace)); err != nil {
 			return err
 		}
 	}
@@ -182,7 +146,7 @@ func run() error {
 
 	fmt.Printf("benchmark   %s (stands in for %s)\n", bm.Name, bm.Paper)
 	fmt.Printf("arch        %d-issue, %d mem channels, %d-cycle load, %s, int=%d fp=%d\n",
-		ex.Arch.Issue, ex.Arch.MemChannels, ex.Arch.LoadLatency, arch.Mode, *intCore, *fpCore)
+		ex.Arch.Issue, ex.Arch.MemChannels, ex.Arch.LoadLatency, arch.Mode, arch.IntCore, arch.FPCore)
 	if arch.Mode == regconn.WithRC {
 		fmt.Printf("rc          model %v, %d-cycle connects, extra stage %v, combined %v\n",
 			arch.Model, arch.ConnectLatency, arch.ExtraDecodeStage, arch.CombineConnects)

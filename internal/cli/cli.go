@@ -6,11 +6,18 @@
 package cli
 
 import (
+	"context"
+	"flag"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 
 	"regconn"
 	"regconn/internal/backend"
 	"regconn/internal/core"
+	"regconn/internal/machine"
 )
 
 // ParseBackend maps a -mode flag value to a registered backend. The
@@ -46,4 +53,87 @@ func ParseModel(n int) (core.Model, error) {
 		return 0, fmt.Errorf("invalid RC model %d (want 1..4)", n)
 	}
 	return m, nil
+}
+
+// ArchFlags registers the architecture flags rcrun and rcprof share and
+// returns the function that builds the Arch from their parsed values,
+// rejecting out-of-range -model and unknown -mode values.
+func ArchFlags() func() (regconn.Arch, error) {
+	var (
+		issue    = flag.Int("issue", 4, "issue rate (1/2/4/8)")
+		load     = flag.Int("load", 2, "load latency in cycles (2 or 4)")
+		channels = flag.Int("channels", 0, "memory channels (0 = paper default)")
+		intCore  = flag.Int("intcore", 16, "core integer registers")
+		fpCore   = flag.Int("fpcore", 32, "core floating-point registers")
+		mode     = flag.String("mode", "rc", "register backend: "+strings.Join(ModeNames(), ", "))
+		model    = flag.Int("model", 3, "RC automatic-reset model 1..4")
+		connLat  = flag.Int("connect-latency", 0, "connect latency (0 or 1)")
+		noComb   = flag.Bool("no-combine", false, "disable combined connects")
+		scalar   = flag.Bool("scalar", false, "scalar optimization only (no ILP)")
+	)
+	return func() (regconn.Arch, error) {
+		m, err := ParseModel(*model)
+		if err != nil {
+			return regconn.Arch{}, err
+		}
+		a := regconn.Arch{Issue: *issue, MemChannels: *channels, LoadLatency: *load,
+			IntCore: *intCore, FPCore: *fpCore, Model: m, ConnectLatency: *connLat,
+			CombineConnects: !*noComb, ScalarOnly: *scalar}
+		a.Mode, err = ParseMode(*mode)
+		return a, err
+	}
+}
+
+// WriteEventTrace runs the executable with an event ring of the given
+// capacity (0 = machine.DefaultEventCap) and writes the ring to path as
+// Chrome trace-event JSON — the -trace-json flag of rcrun and rcprof.
+func WriteEventTrace(ex *regconn.Executable, path string, capacity int) (*machine.EventRing, error) {
+	ring := machine.NewEventRing(capacity)
+	if _, err := ex.RunObserved(context.Background(), ring); err != nil {
+		return nil, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	err = ring.WriteTraceJSON(f, ex.Image)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return ring, err
+}
+
+// StartCPUProfile begins a runtime/pprof CPU profile and returns the stop
+// function (a no-op when path is empty): the -cpuprofile flag of rcexp
+// and rcbench.
+func StartCPUProfile(path string) (func(), error) {
+	if path == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, nil
+}
+
+// WriteMemProfile dumps a post-GC heap profile (no-op when path is empty).
+func WriteMemProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	runtime.GC()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return pprof.WriteHeapProfile(f)
 }

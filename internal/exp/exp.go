@@ -234,8 +234,8 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forAll runs f(i) for every i in [0, n) across the bounded worker pool.
-func (r *Runner) forAll(n int, f func(i int)) {
+// ForAll runs f(i) for every i in [0, n) across the bounded worker pool.
+func (r *Runner) ForAll(n int, f func(i int)) {
 	w := r.workers()
 	if w > n {
 		w = n
@@ -280,7 +280,7 @@ func (r *Runner) warm(pts []point) {
 		}
 	}
 	var done atomic.Int64
-	r.forAll(len(uniq), func(i int) {
+	r.ForAll(len(uniq), func(i int) {
 		_, _ = r.Run(uniq[i].bm, uniq[i].arch)
 		if progress != nil {
 			progress(int(done.Add(1)), len(uniq))

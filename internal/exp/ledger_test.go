@@ -3,12 +3,14 @@ package exp
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
 	"regconn"
 	"regconn/internal/bench"
+	"regconn/internal/machine"
 )
 
 // TestLedgerClosesOnGoldenGrid asserts Result.CheckLedger over every
@@ -105,7 +107,7 @@ func TestTraceMonotonicCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := ex.RunWithTrace(&buf, 0)
+	res, err := ex.RunObserved(context.Background(), machine.NewTextTrace(&buf, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +137,45 @@ func TestTraceMonotonicCycles(t *testing.T) {
 	}
 	if int64(lines) > res.Cycles || lines == 0 {
 		t.Fatalf("trace has %d lines for %d cycles", lines, res.Cycles)
+	}
+}
+
+// TestTextTraceListsEveryInstruction runs every golden benchmark at the
+// center configuration with an unlimited text trace and counts the
+// instructions its lines list: they must add up to Result.Instrs, so no
+// cycle's issues go missing — in particular not those issued alongside
+// the final HALT fetch.
+func TestTextTraceListsEveryInstruction(t *testing.T) {
+	for _, bm := range bench.All() {
+		bm := bm
+		t.Run(bm.Name, func(t *testing.T) {
+			t.Parallel()
+			ex, err := regconn.Build(bm.Build(), LedgerConfigs(bm)[0].Arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			res, err := ex.RunObserved(context.Background(), machine.NewTextTrace(&buf, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var listed int64
+			sc := bufio.NewScanner(&buf)
+			for sc.Scan() {
+				_, entries, _ := strings.Cut(strings.TrimLeft(sc.Text(), " "), "  ")
+				for _, e := range strings.Split(entries, " | ") {
+					pc, _, ok := strings.Cut(e, ":")
+					if _, err := strconv.Atoi(pc); ok && err == nil {
+						listed++
+					}
+				}
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if listed != res.Instrs {
+				t.Errorf("text trace lists %d instructions, the run issued %d", listed, res.Instrs)
+			}
+		})
 	}
 }

@@ -185,7 +185,7 @@ func (r *Runner) AblationOS() (*Table, error) {
 			jobs = append(jobs, job{i, j})
 		}
 	}
-	r.forAll(len(jobs), func(k int) {
+	r.ForAll(len(jobs), func(k int) {
 		jb := jobs[k]
 		bm := bms[jb.i]
 		vals[jb.i][jb.j], errs[jb.i][jb.j] = overheadPct(bm, archsOf(bm)[jb.j])

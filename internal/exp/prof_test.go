@@ -1,22 +1,26 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"regconn"
 	"regconn/internal/bench"
+	"regconn/internal/machine"
 	"regconn/internal/prof"
 )
 
-// TestAttributionMatchesLedgerOnGoldenGrid profiles every golden
-// benchmark×config point and proves two things per point: the per-PC
+// TestAttributionMatchesLedgerOnGoldenGrid runs every golden
+// benchmark×config point once per observer — none, the per-PC profile
+// (Arch.Profile), a text trace, an event ring — and proves two things:
+// every observed run is bit-identical to the recorded unobserved golden
+// behaviour (the observer observes, it never perturbs), and the per-PC
 // attribution columns sum bit-exactly to the run's ledger buckets
-// (prof.CrossCheck), and enabling profiling leaves the simulation
-// bit-identical to the recorded profiling-off golden behaviour — the
-// observability layer observes, it never perturbs.
+// (prof.CrossCheck).
 func TestAttributionMatchesLedgerOnGoldenGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid attribution check is not -short")
@@ -33,6 +37,16 @@ func TestAttributionMatchesLedgerOnGoldenGrid(t *testing.T) {
 	for _, p := range pts {
 		want[p.Benchmark+"/"+p.Config] = p
 	}
+	observers := []struct {
+		name    string
+		profile bool
+		obs     func() machine.Observer
+	}{
+		{"none", false, func() machine.Observer { return nil }},
+		{"pcprof", true, func() machine.Observer { return nil }},
+		{"text-trace", false, func() machine.Observer { return machine.NewTextTrace(io.Discard, 0) }},
+		{"event-ring", false, func() machine.Observer { return machine.NewEventRing(0) }},
+	}
 
 	for _, bm := range bench.All() {
 		bm := bm
@@ -40,37 +54,43 @@ func TestAttributionMatchesLedgerOnGoldenGrid(t *testing.T) {
 			gc := gc
 			t.Run(bm.Name+"/"+gc.Name, func(t *testing.T) {
 				t.Parallel()
-				arch := gc.Arch
-				arch.Profile = true
-				ex, err := regconn.Build(bm.Build(), arch)
-				if err != nil {
-					t.Fatalf("build: %v", err)
-				}
-				res, err := ex.Run()
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				if res.Prof == nil {
-					t.Fatal("profiled run carries no per-PC attribution")
-				}
-				p, err := prof.New(ex.Image, res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := p.CrossCheck(); err != nil {
-					t.Errorf("attribution does not sum to ledger: %v", err)
-				}
 				w, ok := want[bm.Name+"/"+gc.Name]
 				if !ok {
 					t.Fatalf("no golden point for %s/%s", bm.Name, gc.Name)
 				}
-				if res.Cycles != w.Cycles || res.Instrs != w.Instrs ||
-					res.Connects != w.Connects || res.MemOps != w.MemOps ||
-					res.Mispredicts != w.Mispred || res.RetInt != w.RetInt ||
-					res.StallData != w.StallData || res.StallMem != w.StallMem ||
-					res.StallConn != w.StallConn || res.StallBranch != w.StallBranch {
-					t.Errorf("profiling perturbed the simulation:\n got cycles=%d instrs=%d\nwant cycles=%d instrs=%d (full golden %+v)",
-						res.Cycles, res.Instrs, w.Cycles, w.Instrs, w)
+				ex, err := regconn.Build(bm.Build(), gc.Arch)
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				for _, o := range observers {
+					t.Run(o.name, func(t *testing.T) {
+						ex.Arch.Profile = o.profile
+						res, err := ex.RunObserved(context.Background(), o.obs())
+						if err != nil {
+							t.Fatalf("run: %v", err)
+						}
+						if res.Cycles != w.Cycles || res.Instrs != w.Instrs ||
+							res.Connects != w.Connects || res.MemOps != w.MemOps ||
+							res.Mispredicts != w.Mispred || res.RetInt != w.RetInt ||
+							res.StallData != w.StallData || res.StallMem != w.StallMem ||
+							res.StallConn != w.StallConn || res.StallBranch != w.StallBranch {
+							t.Errorf("observer perturbed the simulation:\n got cycles=%d instrs=%d\nwant cycles=%d instrs=%d (full golden %+v)",
+								res.Cycles, res.Instrs, w.Cycles, w.Instrs, w)
+						}
+						if (res.Prof != nil) != o.profile {
+							t.Fatalf("run carries per-PC attribution %v, want %v", res.Prof != nil, o.profile)
+						}
+						if !o.profile {
+							return
+						}
+						p, err := prof.New(ex.Image, res)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := p.CrossCheck(); err != nil {
+							t.Errorf("attribution does not sum to ledger: %v", err)
+						}
+					})
 				}
 			})
 		}

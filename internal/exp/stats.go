@@ -48,6 +48,26 @@ type PointStats struct {
 // machine-readable counterpart of the golden file, fanned out across the
 // runner's worker pool.
 func (r *Runner) StatsReport() ([]PointStats, error) {
+	return EachLedgerPoint(r, func(bm bench.Benchmark, lc LedgerConfig) (PointStats, error) {
+		ex, err := regconn.Build(bm.Build(), lc.Arch)
+		if err != nil {
+			return PointStats{}, err
+		}
+		res, err := ex.Run()
+		if err == nil {
+			err = res.CheckLedger()
+		}
+		if err != nil {
+			return PointStats{}, err
+		}
+		return PointStats{Benchmark: bm.Name, Config: lc.Name, Stats: res.Stats()}, nil
+	})
+}
+
+// EachLedgerPoint applies f to every golden benchmark×config point of the
+// runner's suite across its worker pool and returns the results in grid
+// order, or the first failing point's error (prefixed bench/config).
+func EachLedgerPoint[T any](r *Runner, f func(bench.Benchmark, LedgerConfig) (T, error)) ([]T, error) {
 	type job struct {
 		bm bench.Benchmark
 		lc LedgerConfig
@@ -58,25 +78,13 @@ func (r *Runner) StatsReport() ([]PointStats, error) {
 			jobs = append(jobs, job{bm, lc})
 		}
 	}
-	out := make([]PointStats, len(jobs))
+	out := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
-	r.forAll(len(jobs), func(i int) {
+	r.ForAll(len(jobs), func(i int) {
 		jb := jobs[i]
-		ex, err := regconn.Build(jb.bm.Build(), jb.lc.Arch)
-		if err != nil {
-			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-			return
+		if out[i], errs[i] = f(jb.bm, jb.lc); errs[i] != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, errs[i])
 		}
-		res, err := ex.Run()
-		if err != nil {
-			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-			return
-		}
-		if err := res.CheckLedger(); err != nil {
-			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-			return
-		}
-		out[i] = PointStats{Benchmark: jb.bm.Name, Config: jb.lc.Name, Stats: res.Stats()}
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -157,7 +157,10 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 	}
 	m.armed = false
 	s := m.procs[0]
-	defer bufferTrace(&s.cfg).finish(&err)
+	if o := s.cfg.Observer; o != nil {
+		o.Begin(s.cfg.IssueRate, []*Image{s.img})
+	}
+	defer endRun(s.cfg.Observer, &err)
 	defer recoverFault(&res, &err)
 	s.bindContext(ctx)
 	halted, err := s.runUntil(s.cfg.MaxCycles)
@@ -187,7 +190,10 @@ func (m *Machine) RunMultiprogrammedContext(ctx context.Context, imgs []*Image, 
 		return nil, err
 	}
 	m.armed = false
-	defer bufferTrace(&cfg).finish(&err)
+	if cfg.Observer != nil {
+		cfg.Observer.Begin(cfg.IssueRate, imgs)
+	}
+	defer endRun(cfg.Observer, &err)
 	defer recoverFault(&res, &err)
 
 	m.ensureShared(cfg)

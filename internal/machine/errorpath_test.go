@@ -155,7 +155,7 @@ func TestRunMultiprogrammedContextCancel(t *testing.T) {
 func TestTraceTailOnFault(t *testing.T) {
 	var buf bytes.Buffer
 	c := cfg1()
-	c.Trace = &buf
+	c.Observer = NewTextTrace(&buf, 0)
 	_, err := Run(wildStoreImg(mem.DefaultSize+8), c)
 	if err == nil {
 		t.Fatal("wild store did not fail")
@@ -177,7 +177,7 @@ func TestTraceFileSyncedOnFault(t *testing.T) {
 	}
 	defer f.Close()
 	c := cfg1()
-	c.Trace = f
+	c.Observer = NewTextTrace(f, 0)
 	if _, err := Run(wildStoreImg(mem.DefaultSize+8), c); err == nil {
 		t.Fatal("wild store did not fail")
 	}
@@ -191,20 +191,21 @@ func TestTraceFileSyncedOnFault(t *testing.T) {
 }
 
 func TestEventRingZeroValue(t *testing.T) {
-	// Config.Events = &EventRing{} must behave like a default-capacity ring,
-	// not panic on the first event.
+	// Config.Observer = &EventRing{} must behave like a default-capacity
+	// ring, not panic on the first event.
 	c := cfg1()
-	c.Events = &EventRing{}
+	ring := &EventRing{}
+	c.Observer = ring
 	img := asm(movi(2, 1), add(3, 2, 2), halt())
 	if _, err := Run(img, c); err != nil {
 		t.Fatal(err)
 	}
-	evs := c.Events.Events()
+	evs := ring.Events()
 	if len(evs) == 0 {
 		t.Fatal("zero-value ring recorded no events")
 	}
-	if c.Events.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", c.Events.Dropped())
+	if ring.Dropped() != 0 {
+		t.Errorf("Dropped = %d, want 0", ring.Dropped())
 	}
 	if evs[len(evs)-1].Kind != EvHalt {
 		t.Errorf("last event kind = %d, want EvHalt", evs[len(evs)-1].Kind)
@@ -214,7 +215,7 @@ func TestEventRingZeroValue(t *testing.T) {
 func TestEventRingWraparound(t *testing.T) {
 	r := NewEventRing(4)
 	for i := 0; i < 7; i++ {
-		r.add(Event{Kind: EvIssue, Cycle: int64(i), PC: int32(i)})
+		r.Observe(Event{Kind: EvIssue, Cycle: int64(i), PC: int32(i)})
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -233,7 +234,7 @@ func TestEventRingWraparound(t *testing.T) {
 func TestEventRingPartialFill(t *testing.T) {
 	r := NewEventRing(8)
 	for i := 0; i < 3; i++ {
-		r.add(Event{Cycle: int64(i)})
+		r.Observe(Event{Cycle: int64(i)})
 	}
 	if evs := r.Events(); len(evs) != 3 || evs[0].Cycle != 0 || evs[2].Cycle != 2 {
 		t.Fatalf("partial ring Events = %v", evs)
@@ -251,18 +252,19 @@ func TestWriteTraceJSONAfterWraparound(t *testing.T) {
 	// Chrome trace: timestamps must be monotonic and must not predate the
 	// oldest retained event.
 	c := cfg1()
-	c.Events = NewEventRing(16)
+	ring := NewEventRing(16)
+	c.Observer = ring
 	img := loopImg(50)
 	if _, err := Run(img, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Events.Dropped() == 0 {
+	if ring.Dropped() == 0 {
 		t.Fatal("ring did not wrap; enlarge the loop")
 	}
-	oldest := c.Events.Events()[0].Cycle
+	oldest := ring.Events()[0].Cycle
 
 	var buf bytes.Buffer
-	if err := c.Events.WriteTraceJSON(&buf, img); err != nil {
+	if err := ring.WriteTraceJSON(&buf, img); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -277,8 +279,8 @@ func TestWriteTraceJSONAfterWraparound(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.OtherData.Dropped != c.Events.Dropped() {
-		t.Errorf("exported dropped count %d, want %d", doc.OtherData.Dropped, c.Events.Dropped())
+	if doc.OtherData.Dropped != ring.Dropped() {
+		t.Errorf("exported dropped count %d, want %d", doc.OtherData.Dropped, ring.Dropped())
 	}
 	prev := int64(-1)
 	for _, te := range doc.TraceEvents {

@@ -1,7 +1,7 @@
 package machine
 
-// Structured pipeline event trace: a fixed-capacity ring of compact event
-// records fed by the issue/execute pipeline when Config.Events is set, and
+// Structured pipeline events: the records every Observer receives (see
+// observe.go), a fixed-capacity ring of them (the EventRing Observer), and
 // a Chrome trace-event JSON exporter so a run can be inspected on a
 // timeline in chrome://tracing or Perfetto instead of by eyeballing the
 // flat text trace. One simulated cycle maps to one microsecond of trace
@@ -35,9 +35,11 @@ const (
 	EvSwitch
 )
 
-// Event is one compact trace record. PC indexes Image.Code; Slot is the
-// issue slot (issue events only); Proc is the process index (0 for
-// single-process runs).
+// Event is one compact trace record. PC indexes Image.Code; Proc is the
+// process index (0 for single-process runs). Slot is the issue slot an
+// instruction issued in, or that the final HALT was fetched into (0 when
+// nothing issued in the HALT cycle). Arg is an issue's mispredict penalty
+// in cycles (0 when predicted) and a stall's reason.
 type Event struct {
 	Kind  EventKind
 	Cycle int64
@@ -51,7 +53,7 @@ type Event struct {
 // EventRing is a bounded event buffer: when full, the oldest events are
 // overwritten, so the trace always holds the most recent window of the
 // run. The zero value is a ready-to-use ring of DefaultEventCap events
-// (storage allocated on first add), so `Config.Events = &EventRing{}`
+// (storage allocated on the first event), so `Config.Observer = &EventRing{}`
 // works. It is not safe for concurrent use (the simulator is single-
 // threaded).
 //
@@ -77,8 +79,12 @@ func NewEventRing(capacity int) *EventRing {
 	return &EventRing{buf: make([]Event, capacity)}
 }
 
-// add appends one event, overwriting the oldest when full.
-func (r *EventRing) add(e Event) {
+// Begin sets the track layout from the issue rate.
+func (r *EventRing) Begin(issueRate int, _ []*Image) { r.issue = issueRate }
+func (r *EventRing) End(error) error                 { return nil }
+
+// Observe appends one event, overwriting the oldest when full.
+func (r *EventRing) Observe(e Event) {
 	if len(r.buf) == 0 {
 		r.buf = make([]Event, DefaultEventCap)
 	}
@@ -141,24 +147,20 @@ func (r *EventRing) WriteTraceJSON(w io.Writer, imgs ...*Image) error {
 		},
 	}
 
-	procs := map[int]bool{}
+	var seen [256]bool // by process index, so metadata renders in pid order
 	for _, e := range r.Events() {
-		procs[int(e.Proc)] = true
+		seen[e.Proc] = true
 		pid := int(e.Proc)
 		var te obs.TraceEvent
 		switch e.Kind {
 		case EvIssue:
 			te = obs.Complete(instrName(imgs, e.Proc, e.PC), e.Cycle, 1, pid, int(e.Slot))
-			te.Args = map[string]any{"pc": e.PC}
 		case EvStall:
 			te = obs.Complete("stall:"+stallNames[stallReason(e.Arg)], e.Cycle, 1, pid, stallTid)
-			te.Args = map[string]any{"pc": e.PC}
 		case EvConnect:
 			te = obs.Instant(instrName(imgs, e.Proc, e.PC), e.Cycle, pid, instantTid)
-			te.Args = map[string]any{"pc": e.PC}
 		case EvReset:
 			te = obs.Instant("map-reset", e.Cycle, pid, instantTid)
-			te.Args = map[string]any{"pc": e.PC}
 		case EvTrap:
 			te = obs.Complete("trap", e.Cycle, e.Dur, pid, instantTid)
 			te.Args = map[string]any{"overhead_cycles": e.Dur}
@@ -169,12 +171,18 @@ func (r *EventRing) WriteTraceJSON(w io.Writer, imgs ...*Image) error {
 		default:
 			continue
 		}
+		if e.Kind <= EvReset { // the per-instruction kinds
+			te.Args = map[string]any{"pc": e.PC}
+		}
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
 
 	// Track metadata: name each process and thread so the viewer shows
 	// "slot 0..n-1 / stall / events" instead of bare tids.
-	for pid := range procs {
+	for pid, ok := range seen {
+		if !ok {
+			continue
+		}
 		name := fmt.Sprintf("process %d", pid)
 		if pid < len(imgs) {
 			name = fmt.Sprintf("process %d (%s)", pid, imgs[pid].Prog.Entry)

@@ -188,8 +188,8 @@ func execCALL(s *simState, u *uop, cycle int64) (int, bool, error) {
 	s.ri[isa.RegSP] = sp
 	s.tabI.Reset()
 	s.tabF.Reset()
-	if s.ev != nil {
-		s.ev.add(Event{Kind: EvReset, Cycle: cycle, PC: int32(s.pc), Proc: s.proc})
+	if s.obs != nil {
+		s.obs.Observe(Event{Kind: EvReset, Cycle: cycle, PC: int32(s.pc), Proc: s.proc})
 	}
 	return u.Target, false, nil
 }
@@ -200,8 +200,8 @@ func execRET(s *simState, u *uop, cycle int64) (int, bool, error) {
 	s.ri[isa.RegSP] = sp + 8
 	s.tabI.Reset()
 	s.tabF.Reset()
-	if s.ev != nil {
-		s.ev.add(Event{Kind: EvReset, Cycle: cycle, PC: int32(s.pc), Proc: s.proc})
+	if s.obs != nil {
+		s.obs.Observe(Event{Kind: EvReset, Cycle: cycle, PC: int32(s.pc), Proc: s.proc})
 	}
 	return next, false, nil
 }
@@ -219,8 +219,8 @@ func execConnect(s *simState, u *uop, cycle int64) (int, bool, error) {
 		}
 		lc[p.Idx] = cycle
 	}
-	if s.ev != nil {
-		s.ev.add(Event{Kind: EvConnect, Cycle: cycle, PC: int32(s.pc), Proc: s.proc})
+	if s.obs != nil {
+		s.obs.Observe(Event{Kind: EvConnect, Cycle: cycle, PC: int32(s.pc), Proc: s.proc})
 	}
 	return s.pc + 1, false, nil
 }

@@ -159,7 +159,7 @@ func TestNoSwitchChargeAfterFinalHalt(t *testing.T) {
 func TestTraceStampsPrePenaltyCycle(t *testing.T) {
 	var buf bytes.Buffer
 	c := cfg1()
-	c.Trace = &buf
+	c.Observer = NewTextTrace(&buf, 0)
 	res := run(t, asm(mispredictProg()...), c)
 	if res.Mispredicts != 1 {
 		t.Fatalf("mispredicts = %d", res.Mispredicts)

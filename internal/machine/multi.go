@@ -170,8 +170,8 @@ func (m *Machine) runMultiprogrammed(imgs []*Image, cfg Config, quantum int64, m
 			save(i)
 			out.Switches++
 			out.SwitchCycles += switchCost
-			if cfg.Events != nil {
-				cfg.Events.add(Event{Kind: EvSwitch, Cycle: clock, Dur: switchCost, Proc: uint8(i)})
+			if s.obs != nil {
+				s.obs.Observe(Event{Kind: EvSwitch, Cycle: clock, Dur: switchCost, Proc: uint8(i)})
 			}
 			clock += switchCost
 			progress = true

@@ -1,9 +1,13 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"regconn/internal/isa"
+	"regconn/internal/obs"
 )
 
 // rcProg keeps a value in extended register rp100 across a long spin, then
@@ -145,5 +149,44 @@ func TestMultiprogrammedValidation(t *testing.T) {
 	}
 	if _, err := RunMultiprogrammed([]*Image{coreProg(10)}, multiCfg(), 0, FullSave); err == nil {
 		t.Error("expected error for zero quantum")
+	}
+}
+
+// TestMultiprogrammedTraceJSONDeterministic renders one three-process
+// event ring many times: the process and thread metadata must come out in
+// pid order every time, so the export is byte-identical across renders.
+func TestMultiprogrammedTraceJSONDeterministic(t *testing.T) {
+	imgs := []*Image{rcProg(111, 200), rcProg(222, 200), coreProg(200)}
+	cfg := multiCfg()
+	ring := NewEventRing(0)
+	cfg.Observer = ring
+	if _, err := RunMultiprogrammed(imgs, cfg, 100, FullSave); err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := ring.WriteTraceJSON(&first, imgs...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := ring.WriteTraceJSON(&buf, imgs...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("render %d differs from the first", i+1)
+		}
+	}
+	var doc obs.TraceFile
+	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var pids []int
+	for _, te := range doc.TraceEvents {
+		if te.Name == "process_name" {
+			pids = append(pids, te.Pid)
+		}
+	}
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(pids, want) {
+		t.Errorf("process metadata in pid order %v, want %v", pids, want)
 	}
 }

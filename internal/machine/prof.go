@@ -1,23 +1,25 @@
 package machine
 
 // Per-PC cycle attribution (the rcprof collection layer). When
-// Config.Prof is set, the issue engine charges every cycle the aggregate
-// ledger (Result.CheckLedger) accounts for to one static instruction:
+// Config.Prof is set, the machine attaches a PCProf Observer to each
+// process, and Observe charges every cycle the aggregate ledger
+// (Result.CheckLedger) accounts for to one static instruction:
 //
 //   - each issued instruction charges Instrs at its own PC, and the first
-//     instruction to issue in a cycle additionally charges IssueCycles
-//     (so issue cycles are owned by the instruction that opened them);
-//   - a zero-issue stall cycle charges StallData/StallMem/StallConn at the
-//     PC of the instruction that failed to issue;
-//   - a mispredict's front-end refill penalty charges StallBranch at the
-//     mispredicted branch's PC;
+//     to issue in a cycle (slot 0) additionally charges IssueCycles (so
+//     issue cycles are owned by the instruction that opened them);
+//   - a zero-issue stall cycle charges StallData/StallMem/StallConn/
+//     StallPorts at the PC of the instruction that failed to issue;
+//   - a mispredict's front-end refill penalty (the issue event's Arg)
+//     charges StallBranch at the mispredicted branch's PC;
 //   - trap/context-switch overhead charges TrapOverhead at the PC that was
 //     about to issue when the interrupt fired;
-//   - the final no-issue HALT fetch charges Halt at the HALT's PC.
+//   - the final HALT fetch charges Halt at the HALT's PC when nothing
+//     issued in its cycle (slot 0).
 //
 // CheckAgainst proves the per-PC columns sum bit-exactly back to the
-// ledger buckets, so attribution can never silently drift from PR 2's
-// accounting (see DESIGN.md §10).
+// ledger buckets, so attribution can never silently drift from the
+// ledger's accounting (see DESIGN.md §10).
 
 import (
 	"errors"
@@ -49,6 +51,34 @@ func newPCProf(n int) *PCProf {
 		StallBranch:  make([]int64, n),
 		TrapOverhead: make([]int64, n),
 		Halt:         make([]int64, n),
+	}
+}
+
+// Begin and End are no-ops: the machine sizes the columns per process.
+func (p *PCProf) Begin(int, []*Image) {}
+func (p *PCProf) End(error) error     { return nil }
+
+// Observe applies the charging rules above to one event.
+func (p *PCProf) Observe(e Event) {
+	switch e.Kind {
+	case EvIssue:
+		p.Instrs[e.PC]++
+		if e.Slot == 0 {
+			p.IssueCycles[e.PC]++
+		}
+		p.StallBranch[e.PC] += int64(e.Arg)
+	case EvStall:
+		cols := [...][]int64{stallData: p.StallData, stallMem: p.StallMem,
+			stallConn: p.StallConn, stallPorts: p.StallPorts}
+		if col := cols[e.Arg]; col != nil {
+			col[e.PC]++
+		}
+	case EvTrap:
+		p.TrapOverhead[e.PC] += e.Dur
+	case EvHalt:
+		if e.Slot == 0 {
+			p.Halt[e.PC]++
+		}
 	}
 }
 

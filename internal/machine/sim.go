@@ -1,15 +1,10 @@
 package machine
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"strings"
-	"syscall"
 
 	"regconn/internal/core"
 	"regconn/internal/isa"
@@ -54,23 +49,16 @@ type Config struct {
 	// Trap enables periodic interrupts / context switches (§4.2–4.3).
 	Trap TrapConfig
 
-	// Trace, when non-nil, receives a per-cycle issue log for the first
-	// TraceCycles cycles (0 = no limit): one line per cycle listing the
-	// instructions issued with their resolved physical operands. The
-	// writer is wrapped in a buffered writer for the duration of the run
-	// and flushed when the run returns.
-	Trace       io.Writer
-	TraceCycles int64
+	// Prof enables per-static-instruction cycle attribution: the machine
+	// attaches a PCProf observer to each process, so every cycle the
+	// ledger accounts for is additionally charged to a PC. The result
+	// carries the counters in Result.Prof. Never serialized, so a decoded
+	// configuration cannot switch it on.
+	Prof bool `json:"-"`
 
-	// Prof enables per-static-instruction cycle attribution: every cycle
-	// the ledger accounts for is additionally charged to a PC (see
-	// PCProf). The result carries the counters in Result.Prof.
-	Prof bool
-
-	// Events, when non-nil, receives structured pipeline events (issues,
-	// stalls, connects, map resets, traps) for the Chrome trace-event
-	// export; see EventRing.WriteTraceJSON.
-	Events *EventRing
+	// Observer, when non-nil, receives the run's pipeline events: a
+	// TextTrace, an *EventRing, or a *PCProf (see Observer).
+	Observer Observer `json:"-"`
 
 	MemSize   int64
 	MaxCycles int64
@@ -112,54 +100,6 @@ func (cfg *Config) normalize() error {
 		cfg.ReadPorts = 2 // a two-source instruction must always fit
 	}
 	return nil
-}
-
-// bufferTrace wraps the config's trace writer in a buffered writer for the
-// duration of a run — the per-issued-line fmt.Fprintf would otherwise hit
-// the underlying writer unbuffered — and returns the flush to defer
-// (`defer bufferTrace(&cfg).finish(&err)`). The flush runs on every exit
-// path (clean halt, simulation error, recovered fault panic); when the
-// underlying writer is a file it is also fsynced, so the tail of a trace
-// survives even a crashed run. A flush failure on an otherwise-successful
-// run surfaces through errp. With tracing off it is a no-op; the flusher
-// is a concrete value rather than a closure so the deferred call does not
-// force the caller's error result onto the heap (the zero-allocation
-// arena path runs through here every Machine.RunContext).
-func bufferTrace(cfg *Config) traceFlusher {
-	if cfg.Trace == nil {
-		return traceFlusher{}
-	}
-	orig := cfg.Trace
-	bw := bufio.NewWriterSize(orig, 1<<16)
-	cfg.Trace = bw
-	return traceFlusher{bw: bw, orig: orig}
-}
-
-// traceFlusher flushes a run's buffered trace writer; see bufferTrace.
-type traceFlusher struct {
-	bw   *bufio.Writer
-	orig io.Writer
-}
-
-func (t traceFlusher) finish(errp *error) {
-	if t.bw == nil {
-		return
-	}
-	ferr := t.bw.Flush()
-	if f, ok := t.orig.(*os.File); ok {
-		serr := f.Sync()
-		// Pipes, terminals, and /dev/null don't support fsync
-		// (EINVAL/ENOTSUP); only real files need the durability.
-		if errors.Is(serr, syscall.EINVAL) || errors.Is(serr, syscall.ENOTSUP) {
-			serr = nil
-		}
-		if ferr == nil {
-			ferr = serr
-		}
-	}
-	if ferr != nil && *errp == nil {
-		*errp = fmt.Errorf("machine: trace flush: %w", ferr)
-	}
 }
 
 // RuntimeError is a structured simulated-execution failure: the faulting
@@ -396,9 +336,8 @@ type simState struct {
 	nextCancel int64
 
 	res  *Result
-	prof *PCProf    // per-PC attribution, nil unless Config.Prof
-	ev   *EventRing // structured event sink, nil unless Config.Events
-	proc uint8      // process index (multiprogramming; 0 otherwise)
+	obs  Observer // event sink: Config.Observer and/or a PCProf; nil if neither
+	proc uint8    // process index (multiprogramming; 0 otherwise)
 
 	// Predecode cache: code is rebuilt by reset only when the image or the
 	// predecode-relevant configuration (chain mode, latency table) changed
@@ -474,14 +413,14 @@ func (s *simState) reset(img *Image, cfg Config, ri []int64, rf []float64,
 	}
 	hist := zeroed(s.res.IssueHist, cfg.IssueRate+1)
 	*s.res = Result{Mem: s.mem, Layout: img.Layout, IssueHist: hist}
-	s.prof = nil
+	s.obs = cfg.Observer
 	if cfg.Prof {
-		s.prof = newPCProf(len(img.Code))
-		s.res.Prof = s.prof
-	}
-	s.ev = cfg.Events
-	if s.ev != nil {
-		s.ev.issue = cfg.IssueRate
+		s.res.Prof = newPCProf(len(img.Code))
+		if s.obs == nil {
+			s.obs = s.res.Prof
+		} else {
+			s.obs = tee{s.obs, s.res.Prof}
+		}
 	}
 	s.proc = proc
 }
@@ -513,8 +452,7 @@ var stallNames = [...]string{
 //
 // Failures — execute errors and the memory-fault panics of wild guest
 // accesses — leave through a single exit that wraps them in a RuntimeError
-// (function, pc, issue cycle) and, when tracing, emits the partially
-// assembled line of the faulting cycle so the trace tail shows the
+// (function, pc, issue cycle), from which a text trace's tail names the
 // instruction that died rather than ending one cycle early.
 func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 	cfg := s.cfg
@@ -524,11 +462,7 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 	}
 	start := s.cycle
 	defer func() { s.res.ActiveCycles += s.cycle - start }()
-	var (
-		tracing    bool
-		issueCycle int64
-		traceLine  []string
-	)
+	var issueCycle int64
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(*mem.Fault)
@@ -539,20 +473,12 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 			// only advances it after execute returns.
 			halted, err = false, s.runtimeError(s.pc, issueCycle, f)
 		}
-		if err != nil && tracing {
-			line := strings.Join(traceLine, " | ")
-			if line != "" {
-				line += "  "
-			}
-			fmt.Fprintf(cfg.Trace, "%8d  %s!! %v\n", issueCycle, line, err)
-		}
 	}()
 	for {
 		cycle := s.cycle
-		// Keep the trace-tail state fresh so an error raised before this
+		// Keep the fault stamp fresh so an error raised before this
 		// cycle's issue loop (cancellation) reports cleanly.
-		issueCycle, traceLine = cycle, traceLine[:0]
-		tracing = cfg.Trace != nil && (cfg.TraceCycles == 0 || cycle < cfg.TraceCycles)
+		issueCycle = cycle
 		if cycle >= stopAt {
 			return false, nil
 		}
@@ -567,12 +493,8 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 		}
 		if cfg.Trap.Interval > 0 && cycle >= s.nextTrap {
 			ov := s.trapOverhead()
-			if s.prof != nil {
-				// Charged to the instruction that was about to issue.
-				s.prof.TrapOverhead[s.pc] += ov
-			}
-			if s.ev != nil {
-				s.ev.add(Event{Kind: EvTrap, Cycle: cycle, Dur: ov, PC: int32(s.pc), Proc: s.proc})
+			if s.obs != nil {
+				s.obs.Observe(Event{Kind: EvTrap, Cycle: cycle, Dur: ov, PC: int32(s.pc), Proc: s.proc})
 			}
 			cycle += ov
 			s.res.Traps++
@@ -586,25 +508,19 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 		branchRedirect := false
 		// issueCycle is the cycle the issue engine runs in; `cycle` may
 		// have absorbed trap overhead above (and may additionally absorb a
-		// mispredict penalty below), so trace lines are stamped with
+		// mispredict penalty below), so events are stamped with
 		// issueCycle to stay monotonic.
 		issueCycle = cycle
-		tracing = cfg.Trace != nil && (cfg.TraceCycles == 0 || issueCycle < cfg.TraceCycles)
 		for issued < cfg.IssueRate {
 			u := &s.code[s.pc]
 			if u.Op == isa.HALT {
-				if tracing {
-					fmt.Fprintf(cfg.Trace, "%8d  halt\n", issueCycle)
-				}
 				s.res.IssueHist[issued]++
 				if issued == 0 {
 					s.res.HaltCycles++
-					if s.prof != nil {
-						s.prof.Halt[s.pc]++
-					}
 				}
-				if s.ev != nil {
-					s.ev.add(Event{Kind: EvHalt, Cycle: issueCycle, PC: int32(s.pc), Proc: s.proc})
+				if s.obs != nil {
+					s.obs.Observe(Event{Kind: EvHalt, Cycle: issueCycle, PC: int32(s.pc),
+						Slot: uint8(issued), Proc: s.proc})
 				}
 				s.cycle = cycle + 1
 				s.res.Cycles = s.cycle
@@ -625,9 +541,6 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 				}
 				break
 			}
-			if tracing {
-				traceLine = append(traceLine, fmt.Sprintf("%d:%s", s.pc, s.img.Code[s.pc].String()))
-			}
 			issuePC := s.pc
 			next, mispredict, err := s.execute(u, cycle)
 			if err != nil {
@@ -636,17 +549,13 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 			issued++
 			s.res.Instrs++
 			s.res.OpMix[u.Kind]++
-			if s.prof != nil {
-				s.prof.Instrs[issuePC]++
-				if issued == 1 {
-					// The cycle's issue slot time is owned by the
-					// instruction that opened it.
-					s.prof.IssueCycles[issuePC]++
+			if s.obs != nil {
+				e := Event{Kind: EvIssue, Cycle: issueCycle, Dur: 1,
+					PC: int32(issuePC), Slot: uint8(issued - 1), Proc: s.proc}
+				if mispredict {
+					e.Arg = int32(penalty)
 				}
-			}
-			if s.ev != nil {
-				s.ev.add(Event{Kind: EvIssue, Cycle: issueCycle, Dur: 1,
-					PC: int32(issuePC), Slot: uint8(issued - 1), Proc: s.proc})
+				s.obs.Observe(e)
 			}
 			if u.Mem {
 				memUsed++
@@ -670,9 +579,6 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 				s.res.Mispredicts++
 				cycle += penalty
 				s.res.StallBranch += penalty
-				if s.prof != nil {
-					s.prof.StallBranch[issuePC] += penalty
-				}
 				branchRedirect = true
 				break
 			}
@@ -684,35 +590,16 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 			switch firstStall {
 			case stallData:
 				s.res.StallData++
-				if s.prof != nil {
-					s.prof.StallData[s.pc]++
-				}
 			case stallMem:
 				s.res.StallMem++
-				if s.prof != nil {
-					s.prof.StallMem[s.pc]++
-				}
 			case stallConn:
 				s.res.StallConn++
-				if s.prof != nil {
-					s.prof.StallConn[s.pc]++
-				}
 			case stallPorts:
 				s.res.StallPorts++
-				if s.prof != nil {
-					s.prof.StallPorts[s.pc]++
-				}
 			}
-			if s.ev != nil {
-				s.ev.add(Event{Kind: EvStall, Cycle: issueCycle, Dur: 1,
+			if s.obs != nil {
+				s.obs.Observe(Event{Kind: EvStall, Cycle: issueCycle, Dur: 1,
 					PC: int32(s.pc), Proc: s.proc, Arg: int32(firstStall)})
-			}
-		}
-		if tracing {
-			if issued == 0 {
-				fmt.Fprintf(cfg.Trace, "%8d  (stall: %s)\n", issueCycle, stallNames[firstStall])
-			} else {
-				fmt.Fprintf(cfg.Trace, "%8d  %s\n", issueCycle, strings.Join(traceLine, " | "))
 			}
 		}
 		s.cycle = cycle + 1

@@ -70,8 +70,8 @@ type Trace struct {
 
 	// Config is the exact simulator configuration of the recorded run,
 	// including backend-derived knobs (total register-file sizes, chain
-	// forwarding, read-port caps, trap bookkeeping). Runtime-only fields
-	// (Trace, Events, Prof) are zeroed at record time and at replay.
+	// forwarding, read-port caps, trap bookkeeping). Prof and Observer are
+	// never serialized, so a decoded trace replays unobserved.
 	Config machine.Config `json:"config"`
 
 	Entry     string          `json:"entry"` // entry function name
@@ -240,10 +240,8 @@ func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := t.Config
-	cfg.Trace, cfg.TraceCycles, cfg.Events, cfg.Prof = nil, 0, nil, false
 	img := t.image()
-	res, err := machine.RunContext(ctx, img, cfg)
+	res, err := machine.RunContext(ctx, img, t.Config)
 	if err != nil {
 		return nil, fmt.Errorf("workload: replay %s: %w", t.Name, err)
 	}

@@ -216,6 +216,40 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceDecodesLegacyConfig replays a trace recorded before the
+// simulator's observation hooks became one Config.Observer: its config
+// still carries the old Trace, TraceCycles, Events and Prof fields (Prof
+// switched on). It must decode, replay without profiling, and reproduce
+// its recorded cycles. The fixture is a gen/mixed/2 recording with
+// "Prof":true and "Events":{} written into its config and its header
+// checksum recomputed.
+func TestTraceDecodesLegacyConfig(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-config.rctrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy := `"Trace":null,"TraceCycles":0,"Prof":true,"Events":{}`; !bytes.Contains(raw, []byte(legacy)) {
+		t.Fatalf("fixture lost its legacy config fields %s", legacy)
+	}
+	dt, _, err := workload.DecodeTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if dt.Config.Prof || dt.Config.Observer != nil {
+		t.Fatalf("decoded config switched on observation: prof=%v observer=%v", dt.Config.Prof, dt.Config.Observer)
+	}
+	res, err := dt.Replay(context.Background())
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if res.Prof != nil {
+		t.Error("replay of a legacy trace collected a per-PC profile")
+	}
+	if res.Cycles != dt.Cycles || dt.Cycles == 0 {
+		t.Errorf("replay took %d cycles, trace recorded %d", res.Cycles, dt.Cycles)
+	}
+}
+
 // TestTraceReplayOnPaperBenchmark replays a hand-written benchmark's
 // trace, proving the format is not generator-specific.
 func TestTraceReplayOnPaperBenchmark(t *testing.T) {

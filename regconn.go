@@ -13,7 +13,6 @@ package regconn
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"regconn/internal/abi"
 	"regconn/internal/analysis"
@@ -399,7 +398,7 @@ func (e *Executable) MapCheck() []mapcheck.Violation {
 
 // machineConfig translates the architecture into the simulator's
 // configuration — the single point where the Arch → machine.Config mapping
-// lives, shared by Run, RunWithTrace, RunWithEvents, and RunProcesses.
+// lives, shared by Run, RunObserved, and RunProcesses.
 func (e *Executable) machineConfig() machine.Config {
 	a := e.Arch
 	lat := isa.DefaultLatencies(a.LoadLatency)
@@ -437,26 +436,17 @@ func (e *Executable) Run() (*machine.Result, error) {
 // surfaces as an error wrapping both machine.ErrCanceled and the context's
 // own error.
 func (e *Executable) RunContext(ctx context.Context) (*machine.Result, error) {
-	return machine.RunContext(ctx, e.Image, e.machineConfig())
+	return e.RunObserved(ctx, nil)
 }
 
-// RunWithTrace simulates with a per-cycle issue trace written to w for the
-// first cycles cycles (0 = unlimited).
-func (e *Executable) RunWithTrace(w io.Writer, cycles int64) (*machine.Result, error) {
+// RunObserved is RunContext with o receiving the run's pipeline events:
+// machine.NewTextTrace for the per-cycle issue log, a *machine.EventRing
+// for the Chrome trace-event timeline (render it with WriteTraceJSON), or
+// nil for none.
+func (e *Executable) RunObserved(ctx context.Context, o machine.Observer) (*machine.Result, error) {
 	cfg := e.machineConfig()
-	cfg.Trace = w
-	cfg.TraceCycles = cycles
-	return machine.Run(e.Image, cfg)
-}
-
-// RunWithEvents simulates with the structured event trace enabled: the
-// pipeline records issues, stalls, connects, map resets, and traps into
-// ring (most recent window when the ring fills). Render the result with
-// ring.WriteTraceJSON for chrome://tracing / Perfetto.
-func (e *Executable) RunWithEvents(ring *machine.EventRing) (*machine.Result, error) {
-	cfg := e.machineConfig()
-	cfg.Events = ring
-	return machine.Run(e.Image, cfg)
+	cfg.Observer = o
+	return machine.RunContext(ctx, e.Image, cfg)
 }
 
 // MultiResult reports a multiprogrammed run (see RunProcesses).

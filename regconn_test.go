@@ -2,8 +2,11 @@ package regconn
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"regconn/internal/machine"
 )
 
 func TestDefaultMemChannels(t *testing.T) {
@@ -61,7 +64,7 @@ func TestRunWithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := ex.RunWithTrace(&buf, 10)
+	res, err := ex.RunObserved(context.Background(), machine.NewTextTrace(&buf, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,6 +81,17 @@ expect 0 "$BIN/rcrun" -bench gen/mixed/0
 expect 0 "$BIN/rcrun" -bench gen/mixed/0 -emit-trace "$BIN/t.rctrace"
 expect 0 "$BIN/rcgen" replay "$BIN/t.rctrace"
 
+# rcrun trace outputs: a text trace that cannot be flushed and an event
+# trace that cannot be created or written fail the run. The /dev/full
+# cases need a writable /dev/full (absent on some platforms).
+expect 1 "$BIN/rcrun" -trace-json /nonexistent/dir/t.json
+if [ -w /dev/full ]; then
+    expect 1 sh -c '"$0" -bench grep -trace 100 > /dev/full' "$BIN/rcrun"
+    expect 1 "$BIN/rcrun" -trace-json /dev/full
+fi
+expect 0 "$BIN/rcrun" -bench grep -trace 8
+expect 0 "$BIN/rcrun" -bench grep -trace-json "$BIN/t.json"
+
 # rcgen: usage errors exit non-zero; list/emit/info/replay/smoke succeed
 # on valid inputs, and corrupt traces are rejected.
 expect 2 "$BIN/rcgen"

@@ -24,8 +24,6 @@ func (e *Executable) Trace(name string) (*workload.Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("regconn: trace %s: %w", name, err)
 	}
-	cfg := e.machineConfig()
-	cfg.Trace, cfg.TraceCycles, cfg.Events, cfg.Prof = nil, 0, nil, false
 	p := e.MProg.IR
 	globals := make([]workload.TraceGlobal, 0, len(p.Globals))
 	for _, g := range p.Globals {
@@ -39,7 +37,7 @@ func (e *Executable) Trace(name string) (*workload.Trace, error) {
 	return &workload.Trace{
 		Name:      name,
 		Arch:      archJSON,
-		Config:    cfg,
+		Config:    e.machineConfig(),
 		Entry:     e.MProg.Entry,
 		EntryPC:   e.Image.Entry,
 		Code:      e.Image.Code,
