@@ -36,8 +36,8 @@ func TestBenchmarksAllConfigs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				if ex.Golden.Ret != bm.Expect {
-					t.Fatalf("golden = %d, want %d", ex.Golden.Ret, bm.Expect)
+				if ex.Front.Ret != bm.Expect {
+					t.Fatalf("golden = %d, want %d", ex.Front.Ret, bm.Expect)
 				}
 				res, err := ex.Verify()
 				if err != nil {

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -125,10 +126,13 @@ func run() error {
 		}
 	}
 
+	// Points of one benchmark share front ends (every backend, model and
+	// combine setting at one issue rate has one front key).
+	var fronts exp.FrontCache
 	results := make([]finding, len(points))
 	(&exp.Runner{Workers: maxInt(*workers, 1)}).ForAll(len(points), func(i int) {
 		pt := points[i]
-		ex, err := regconn.Build(pt.bm.Build(), pt.arch)
+		ex, _, err := fronts.Build(context.Background(), pt.bm, pt.arch)
 		if err != nil {
 			results[i] = finding{desc: pt.desc, err: err}
 			return

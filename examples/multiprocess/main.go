@@ -58,7 +58,7 @@ func main() {
 			log.Fatal(err)
 		}
 		exes = append(exes, ex)
-		want = append(want, ex.Golden.Ret)
+		want = append(want, ex.Front.Ret)
 	}
 
 	fmt.Println("Three RC processes sharing one register file, 300-cycle quantum")

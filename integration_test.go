@@ -240,8 +240,8 @@ func TestEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				if ex.Golden.Ret != testExpect[name] {
-					t.Fatalf("interpreter golden = %d, want %d", ex.Golden.Ret, testExpect[name])
+				if ex.Front.Ret != testExpect[name] {
+					t.Fatalf("interpreter golden = %d, want %d", ex.Front.Ret, testExpect[name])
 				}
 				res, err := ex.Verify()
 				if err != nil {

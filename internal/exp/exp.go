@@ -51,6 +51,7 @@ type Runner struct {
 	mu      sync.Mutex
 	done    map[string]memo        // completed points (results and non-cancel errors)
 	flights *flight.Group[*Result] // in-flight points
+	fronts  FrontCache             // compiled front ends, shared by every point
 
 	// Workers bounds the worker pool (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
@@ -143,7 +144,9 @@ func (r *Runner) RunContext(ctx context.Context, bm bench.Benchmark, arch regcon
 	g := r.flights
 	run := r.runPoint
 	if run == nil {
-		run = RunPoint
+		run = func(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
+			return RunPoint(ctx, &r.fronts, bm, arch)
+		}
 	}
 	r.mu.Unlock()
 	res, err, _ := g.Do(ctx, k, func(fctx context.Context) (*Result, error) {
@@ -174,18 +177,20 @@ func (r *Runner) RunContext(ctx context.Context, bm bench.Benchmark, arch regcon
 // everything it returns out of the arena before putting it back.
 var arenas = sync.Pool{New: func() any { return regconn.NewArena() }}
 
-// RunPoint is the uncached build+simulate+verify of one data point,
-// canceled through ctx. Every point also runs the static map-state verifier
-// (Arch.Verify): a sweep result is only reported for code rclint proved
-// correct. It is the execution primitive behind Runner.Run and the serve
-// daemon's cold path. When the context carries an obs span (a traced
-// rcserve request), the build and execute phases open child spans; with
-// no span in the context the instrumentation is nil no-ops.
-func RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
+// RunPoint is the unmemoized build+simulate+verify of one data point,
+// canceled through ctx, with the front end taken from fronts. Every
+// point also runs the static map-state verifier (Arch.Verify): a sweep
+// result is only reported for code rclint proved correct. It is the
+// execution primitive behind Runner.Run and the serve daemon's cold path.
+// When the context carries an obs span (a traced rcserve request), the
+// build and execute phases open child spans — the build span's front
+// attr says whether the front was a cache hit, a miss or a join; with no
+// span in the context the instrumentation is nil no-ops.
+func RunPoint(ctx context.Context, fronts *FrontCache, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 	arch.Verify = true
-	_, buildSpan := obs.StartSpan(ctx, "build")
-	ex, err := regconn.Build(bm.Build(), arch)
-	buildSpan.End()
+	buildCtx, buildSpan := obs.StartSpan(ctx, "build")
+	ex, src, err := fronts.Build(buildCtx, bm, arch)
+	buildSpan.Set("front", src).End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", bm.Name, err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"regconn"
@@ -32,7 +33,7 @@ func (r *Runner) AblationPressure() (*Table, error) {
 			{Issue: 8, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true},
 		} {
 			cfg = archFor(bm, 16, cfg)
-			ex, err := regconn.Build(bm.Build(), cfg)
+			ex, _, err := r.fronts.Build(context.Background(), bm, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", bm.Name, err)
 			}
@@ -132,11 +133,13 @@ func (r *Runner) AblationOS() (*Table, error) {
 	}
 	overheadPct := func(bm benchLike, arch regconn.Arch) (float64, error) {
 		arch.Verify = true
-		ex, err := regconn.Build(bm.Build(), arch)
+		ex, _, err := r.fronts.Build(context.Background(), bm, arch)
 		if err != nil {
 			return 0, err
 		}
-		res, err := ex.Verify()
+		arena := arenas.Get().(*regconn.Arena)
+		defer arenas.Put(arena)
+		res, err := arena.VerifyContext(context.Background(), ex)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"regconn"
@@ -49,11 +50,13 @@ type PointStats struct {
 // runner's worker pool.
 func (r *Runner) StatsReport() ([]PointStats, error) {
 	return EachLedgerPoint(r, func(bm bench.Benchmark, lc LedgerConfig) (PointStats, error) {
-		ex, err := regconn.Build(bm.Build(), lc.Arch)
+		ex, _, err := r.fronts.Build(context.Background(), bm, lc.Arch)
 		if err != nil {
 			return PointStats{}, err
 		}
-		res, err := ex.Run()
+		arena := arenas.Get().(*regconn.Arena)
+		defer arenas.Put(arena)
+		res, err := arena.Run(ex)
 		if err == nil {
 			err = res.CheckLedger()
 		}

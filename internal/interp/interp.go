@@ -26,7 +26,9 @@ type Options struct {
 	Profile bool
 	// MaxSteps aborts runaway executions (0 = default limit).
 	MaxSteps int64
-	// MemSize is the memory image size in bytes (0 = mem.DefaultSize).
+	// MemSize is the memory image size in bytes (0 = the data section,
+	// rounded up to 64 KiB: the interpreter keeps its call frames in Go
+	// and needs no stack in guest memory).
 	MemSize int64
 }
 
@@ -50,7 +52,6 @@ type machine struct {
 	mem    *mem.Memory
 	opts   Options
 	steps  int64
-	sp     int64
 }
 
 // Run executes the named entry function with the given integer arguments
@@ -64,10 +65,10 @@ func Run(p *ir.Program, entry string, args []int64, opts Options) (*Result, erro
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = defaultMaxSteps
 	}
-	if opts.MemSize == 0 {
-		opts.MemSize = mem.DefaultSize
-	}
 	layout := mem.ComputeLayout(p)
+	if opts.MemSize == 0 {
+		opts.MemSize = mem.DataImageSize(layout.DataEnd(p))
+	}
 
 	// Everything that can raise a mem.Fault panic — including image
 	// initialization, which faults when a global's initializer does not fit
@@ -91,7 +92,6 @@ func Run(p *ir.Program, entry string, args []int64, opts Options) (*Result, erro
 			mem:    mem.InitImage(p, layout, opts.MemSize),
 			opts:   opts,
 		}
-		m.sp = m.mem.StackTop()
 		ret, fret, e := m.call(f, args, nil)
 		if e != nil {
 			return e

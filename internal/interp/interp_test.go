@@ -184,6 +184,35 @@ func TestInitImageFaultIsError(t *testing.T) {
 	}
 }
 
+// TestDefaultImageIsDataSized: with no MemSize the image holds exactly the
+// data section rounded up to whole 64 KiB pages (the interpreter keeps no
+// stack in guest memory), and a store past it is a guest fault.
+func TestDefaultImageIsDataSized(t *testing.T) {
+	p := ir.NewProgram()
+	g := p.AddGlobal("arr", 70000*8) // data ends past eight 64 KiB pages
+	b := ir.NewFunc(p, "main", 0, 0)
+	base := b.Addr(g, 0)
+	b.St(b.Const(9), base, 69999*8)
+	b.Ret(b.Ld(base, 69999*8))
+	res, err := Run(p, "main", nil, Options{})
+	if err != nil || res.Ret != 9 {
+		t.Fatalf("Run = %+v, %v", res, err)
+	}
+	if got, want := res.Mem.Size(), mem.DataImageSize(res.Layout.DataEnd(p)); got != want || want != 9<<16 {
+		t.Errorf("image size = %d, want %d (nine 64 KiB pages)", got, want)
+	}
+
+	wild := ir.NewProgram()
+	wg := wild.AddGlobal("w", 8)
+	wb := ir.NewFunc(wild, "main", 0, 0)
+	wb.St(wb.Const(1), wb.Addr(wg, 0), 1<<16)
+	wb.Ret(wb.Const(0))
+	var f *mem.Fault
+	if _, err := Run(wild, "main", nil, Options{}); !errors.As(err, &f) {
+		t.Errorf("store past the data image: err = %v, want a *mem.Fault", err)
+	}
+}
+
 func TestDivideByZeroIsError(t *testing.T) {
 	p := ir.NewProgram()
 	b := ir.NewFunc(p, "dz", 1, 0)

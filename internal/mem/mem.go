@@ -74,6 +74,20 @@ func (m *Memory) Reinit(size int64) {
 	m.Reset()
 }
 
+// Data returns the words of the global data section ending at end (see
+// Layout.DataEnd), from GlobalBase: a view of the memory, not a copy.
+func (m *Memory) Data(end int64) []int64 {
+	return m.words[GlobalBase/8 : (end+7)/8]
+}
+
+// DataImageSize returns the smallest memory size, in whole 64 KiB pages,
+// that holds a data section ending at end: the image of a program that
+// keeps no stack in memory (the IR interpreter's).
+func DataImageSize(end int64) int64 {
+	const page = pageWords * 8
+	return (end + page - 1) / page * page
+}
+
 // Size returns the memory size in bytes.
 func (m *Memory) Size() int64 { return int64(len(m.words)) * 8 }
 

@@ -62,6 +62,27 @@ func TestLayoutAndImage(t *testing.T) {
 	if m.LoadF(l["b"]) != 2.5 {
 		t.Error("float init wrong")
 	}
+	if d := m.Data(l.DataEnd(p)); len(d) != 3 || d[0] != 5 || d[1] != 6 || d[2] != m.LoadI(l["b"]) {
+		t.Errorf("data words = %v", d)
+	}
+	if d := m.Data(GlobalBase); len(d) != 0 {
+		t.Errorf("empty data section: %v", d)
+	}
+}
+
+func TestDataImageSize(t *testing.T) {
+	for end, want := range map[int64]int64{
+		GlobalBase:    1 << 16,
+		1<<16 - 8:     1 << 16,
+		1 << 16:       1 << 16,
+		1<<16 + 8:     2 << 16,
+		5<<16 + 1<<12: 6 << 16,
+		DefaultSize:   DefaultSize,
+	} {
+		if got := DataImageSize(end); got != want {
+			t.Errorf("DataImageSize(%#x) = %#x, want %#x", end, got, want)
+		}
+	}
 }
 
 func TestQuickMemoryIsLastWriteWins(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"regconn"
 	"regconn/internal/backend"
+	"regconn/internal/lru"
 	"regconn/internal/obs"
 	"regconn/internal/store"
 )
@@ -48,7 +49,7 @@ type metrics struct {
 // nil) feed the render-time entries; peers are the fleet's other
 // replicas, whose liveness keys exist from startup so a scrape sees a
 // never-contacted peer as age -1 rather than as a missing key.
-func newMetrics(cache *lruCache, st *store.Store, peers []string) *metrics {
+func newMetrics(cache *lru.Cache[[]byte], st *store.Store, peers []string) *metrics {
 	m := &metrics{vars: new(expvar.Map).Init(), latency: obs.NewHistogram(nil)}
 	v := m.vars
 	v.Set("requests", &m.requests)
@@ -62,8 +63,8 @@ func newMetrics(cache *lruCache, st *store.Store, peers []string) *metrics {
 	v.Set("peer_forwarded", &m.peerForwarded)
 	v.Set("peer_fallback", &m.peerFallback)
 	v.Set("store_errors", &m.storeErrors)
-	v.Set("cache_entries", intFunc(func() int64 { return int64(cache.len()) }))
-	v.Set("cache_evictions", intFunc(cache.evicted))
+	v.Set("cache_entries", intFunc(func() int64 { return int64(cache.Len()) }))
+	v.Set("cache_evictions", intFunc(cache.Evicted))
 	if st != nil {
 		v.Set("store_entries", intFunc(func() int64 { return st.Stats().Entries }))
 		v.Set("store_bytes", intFunc(func() int64 { return st.Stats().Bytes }))

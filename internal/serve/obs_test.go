@@ -231,6 +231,18 @@ func TestTwoReplicaRequestIDPropagation(t *testing.T) {
 		t.Fatalf("sweep streamed %d lines, want %d", lines, len(grid.Archs))
 	}
 
+	// The entry replica stops reading the peer's stream at its last owned
+	// line, so the peer may still be logging and retaining its trace when
+	// the client has the whole sweep: give it a bounded moment to finish.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		done := len(a.sv.obs.recent(rid)) == 1 && len(b.sv.obs.recent(rid)) == 1
+		for _, lw := range logs {
+			done = done && strings.Contains(lw.String(), rid)
+		}
+		if done {
+			break
+		}
+	}
 	for i, lw := range logs {
 		if !strings.Contains(lw.String(), rid) {
 			t.Errorf("replica %d log does not mention request id %s:\n%s", i, rid, lw.String())

@@ -40,6 +40,7 @@ import (
 	"regconn"
 	"regconn/internal/bench"
 	"regconn/internal/exp"
+	"regconn/internal/lru"
 	"regconn/internal/machine"
 	"regconn/internal/obs"
 	"regconn/internal/store"
@@ -85,15 +86,16 @@ type Config struct {
 // Server implements the HTTP API. Create with New; it is an http.Handler.
 type Server struct {
 	cfg        Config
-	cache      *lruCache
-	store      *store.Store // nil = memory-only
-	ring       *ring        // nil = unsharded
+	cache      *lru.Cache[[]byte] // marshaled response bodies
+	store      *store.Store       // nil = memory-only
+	ring       *ring              // nil = unsharded
 	peerClient *http.Client
 	flights    *flightGroup
 	met        *metrics
 	obs        *serveObs
 	sem        chan struct{}
-	runner     *exp.Runner // memoized figure generation
+	runner     *exp.Runner    // memoized figure generation
+	fronts     exp.FrontCache // compiled front ends of runPoint's builds
 	mux        *http.ServeMux
 	draining   atomic.Bool
 }
@@ -105,9 +107,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = 1024
+	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   newLRUCache(cfg.CacheSize),
+		cache:   lru.New[[]byte](cfg.CacheSize),
 		flights: newFlightGroup(),
 		sem:     make(chan struct{}, cfg.Workers),
 		runner:  exp.NewRunner(),
@@ -445,7 +450,7 @@ func (s *Server) resolve(ctx context.Context, name, k string, backend func() str
 		s.met.observe(src, time.Since(start))
 	}()
 	lk := span.Child("cache.lookup")
-	b, ok := s.cache.get(k)
+	b, ok := s.cache.Get(k)
 	lk.End()
 	if ok {
 		return b, srcHit, nil
@@ -457,7 +462,7 @@ func (s *Server) resolve(ctx context.Context, name, k string, backend func() str
 		if ok {
 			// Read through: promote the durable record into the LRU so the
 			// next hit skips the store index.
-			s.cache.put(k, b)
+			s.cache.Put(k, b)
 			return b, srcHit, nil
 		}
 	}
@@ -488,7 +493,7 @@ func (s *Server) resolve(ctx context.Context, name, k string, backend func() str
 				s.met.storeErrors.Inc()
 			}
 		}
-		s.cache.put(k, b)
+		s.cache.Put(k, b)
 		return b, nil
 	})
 	// A true miss is the flight owner alone; everyone who joined its
@@ -512,7 +517,7 @@ func (s *Server) runPoint(ctx context.Context, bm bench.Benchmark, arch regconn.
 	return s.resolve(ctx, bm.Name, k, func() string { return backendLabel(arch) },
 		func(ctx context.Context, fl *obs.Span) ([]byte, error) {
 			sim := fl.Child("simulate")
-			res, err := exp.RunPoint(obs.NewContext(ctx, sim), bm, arch)
+			res, err := exp.RunPoint(obs.NewContext(ctx, sim), &s.fronts, bm, arch)
 			if err != nil {
 				sim.End()
 				return nil, err

@@ -329,14 +329,17 @@ func TestCancellationStopsSimulationEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := exp.RunPoint(context.Background(), bm, fastArch())
+	// The first run warms the front cache, so the canceled run reaches the
+	// simulator instead of giving up while waiting for its front end.
+	fronts := new(exp.FrontCache)
+	full, err := exp.RunPoint(context.Background(), fronts, bm, fastArch())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = exp.RunPoint(ctx, bm, fastArch())
+	_, err = exp.RunPoint(ctx, fronts, bm, fastArch())
 	if !errors.Is(err, machine.ErrCanceled) {
 		t.Fatalf("canceled point error = %v", err)
 	}

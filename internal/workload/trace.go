@@ -90,15 +90,14 @@ type Trace struct {
 	Instrs int64  `json:"instrs"`
 }
 
-// DataDigest hashes the global data section — words from mem.GlobalBase up
-// to end — into a hex digest. Recorded from the interpreter oracle's final
-// memory at trace-write time and compared against the simulator's at
-// replay.
-func DataDigest(m *mem.Memory, end int64) string {
+// DataDigest hashes the global data section's words (mem.Memory.Data)
+// into a hex digest. Recorded from the interpreter oracle's final data at
+// trace-write time and compared against the simulator's at replay.
+func DataDigest(data []int64) string {
 	h := sha256.New()
 	var buf [8]byte
-	for addr := int64(mem.GlobalBase); addr < end; addr += 8 {
-		binary.LittleEndian.PutUint64(buf[:], uint64(m.LoadI(addr)))
+	for _, w := range data {
+		binary.LittleEndian.PutUint64(buf[:], uint64(w))
 		h.Write(buf[:])
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
@@ -250,7 +249,7 @@ func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
 	}
 	if t.MemSum != "" {
 		end := img.Layout.DataEnd(img.Prog.IR)
-		if sum := DataDigest(res.Mem, end); sum != t.MemSum {
+		if sum := DataDigest(res.Mem.Data(end)); sum != t.MemSum {
 			return nil, fmt.Errorf("workload: replay %s: memory digest %s, trace recorded %s", t.Name, sum, t.MemSum)
 		}
 	}

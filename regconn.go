@@ -13,6 +13,7 @@ package regconn
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"regconn/internal/abi"
 	"regconn/internal/analysis"
@@ -195,11 +196,11 @@ func (a Arch) Canonical() Arch {
 
 // Executable is a compiled program bound to a machine configuration.
 type Executable struct {
-	Arch   Arch
-	Image  *machine.Image
-	MProg  *codegen.MProg
-	Alloc  *regalloc.ProgramAssignment
-	Golden *interp.Result // interpreter run of the final IR (oracle + profile)
+	Arch  Arch
+	Image *machine.Image
+	MProg *codegen.MProg
+	Alloc *regalloc.ProgramAssignment
+	Front *Front // the front end it was compiled from (oracle + profile)
 
 	// Static code-size statistics (Figure 9): instruction counts before
 	// and after register allocation, split by cause.
@@ -235,22 +236,132 @@ func (e *Executable) SaveRestoreGrowth() float64 {
 	return float64(e.SaveRestoreExts) / float64(e.PreAllocSize)
 }
 
-// Build compiles the program for the architecture. The input program is
-// never mutated: compilation (which optimizes and profiles IR in place)
-// works on a deep copy, so one constructed program can be built under many
-// architectures — the fuzz oracle and the workload generator both rely on
-// this.
-func Build(p *ir.Program, arch Arch) (*Executable, error) {
-	arch = arch.normalize()
-	// Reject a non-positive issue rate here rather than letting the list
-	// scheduler spin forever on a machine that can never issue (the
-	// simulator's own config check comes too late to help).
-	if arch.Issue <= 0 {
-		return nil, fmt.Errorf("regconn: invalid issue rate %d", arch.Issue)
+// FrontKey is everything in an Arch that the front end reads: the ILP
+// unroll factor (1 under ScalarOnly) and accumulator expansion, which only
+// matters when the factor is above 1. Architectures with equal keys
+// compile a program to the same Front.
+type FrontKey struct {
+	Unroll             int
+	ExpandAccumulators bool
+}
+
+// FrontKey returns the architecture's front-end key.
+func (a Arch) FrontKey() FrontKey {
+	k := FrontKey{Unroll: 1}
+	if !a.ScalarOnly {
+		k.Unroll = ilp.UnrollFactorFor(a.Issue)
 	}
-	be, err := arch.resolveBackend()
+	k.ExpandAccumulators = a.ExpandAccumulators && k.Unroll > 1
+	return k
+}
+
+// Front is a compiled front end (paper §5.1–5.3: optimize, profile and
+// ILP-transform once, then allocate and schedule under each register
+// configuration). It is immutable once Frontend returns: Backend and
+// every Executable built from it only read it, so one Front may be shared
+// by concurrent Backend calls.
+type Front struct {
+	Key FrontKey
+	// IR is the transformed program carrying the final profile's block
+	// and branch weights (allocator priorities, branch prediction).
+	IR *ir.Program
+	// Ret is main's return value under the interpreter, and Data the
+	// final words of the global data section from mem.GlobalBase: the
+	// correctness oracle every simulation is checked against.
+	Ret  int64
+	Data []int64
+}
+
+// validate rejects architectures no backend can compile for: a
+// non-positive issue rate (the list scheduler would spin forever on a
+// machine that can never issue; the simulator's own config check comes
+// too late to help) and an unknown register scheme.
+func (a Arch) validate() (backend.Backend, error) {
+	if a.Issue <= 0 {
+		return nil, fmt.Errorf("regconn: invalid issue rate %d", a.Issue)
+	}
+	be, err := a.resolveBackend()
 	if err != nil {
 		return nil, fmt.Errorf("regconn: %w", err)
+	}
+	return be, nil
+}
+
+// Build compiles the program for the architecture: Frontend, then
+// Backend. The input program is never mutated (Frontend works on a deep
+// copy), so one constructed program can be built under many
+// architectures — the fuzz oracle and the workload generator both rely on
+// this. Sweeps that build one program under many architectures share
+// fronts instead (internal/exp's front cache).
+func Build(p *ir.Program, arch Arch) (*Executable, error) {
+	f, err := Frontend(p, arch)
+	if err != nil {
+		return nil, err
+	}
+	return Backend(f, arch)
+}
+
+// Frontend verifies the program and runs the front end for the
+// architecture's FrontKey: classical optimization, the trip-count profile
+// and ILP transformation (both skipped when the unroll factor is 1, where
+// the transformation is the identity), and the final profiling run that
+// also yields the oracle. The input program is never mutated. It rejects
+// the architectures Backend rejects before doing any work, so Build fails
+// the same way whichever stage it reaches.
+func Frontend(p *ir.Program, arch Arch) (*Front, error) {
+	if _, err := arch.validate(); err != nil {
+		return nil, err
+	}
+	if err := ir.Verify(p); err != nil {
+		return nil, fmt.Errorf("regconn: verify: %w", err)
+	}
+	for _, f := range p.Funcs {
+		if err := analysis.CheckDefiniteAssignment(f); err != nil {
+			return nil, fmt.Errorf("regconn: %w", err)
+		}
+	}
+	key := arch.FrontKey()
+
+	// 1. Classical optimization (always on — §5.1: all benchmarks get
+	// full classical optimization). From here on every pass rewrites IR
+	// in place, so work on a private deep copy: the caller's program
+	// stays byte-identical however many times it is built.
+	p = ir.Clone(p)
+	opt.Classical(p)
+
+	// 2. ILP transformation sized to the issue rate, guided by a
+	// trip-count profile (low-trip loops are not worth unrolling).
+	if key.Unroll > 1 {
+		interp.ClearProfile(p)
+		if _, err := interp.Run(p, "main", nil, interp.Options{Profile: true}); err != nil {
+			return nil, fmt.Errorf("regconn: pre-ILP profiling run: %w", err)
+		}
+		ilp.Transform(p, key.Unroll, key.ExpandAccumulators)
+	}
+
+	// 3. Re-profile the final IR: allocator priorities, branch
+	// prediction, and the correctness oracle all come from this run.
+	interp.ClearProfile(p)
+	golden, err := interp.Run(p, "main", nil, interp.Options{Profile: true})
+	if err != nil {
+		return nil, fmt.Errorf("regconn: profiling run: %w", err)
+	}
+	data := golden.Mem.Data(golden.Layout.DataEnd(p))
+	return &Front{Key: key, IR: p, Ret: golden.Ret, Data: slices.Clone(data)}, nil
+}
+
+// Backend compiles a front end for the architecture, whose FrontKey must
+// be the front's: register allocation, code generation, scheduling, the
+// backend's finishing pass, the optional map-state verifier, and linking.
+// It only reads the front, so concurrent calls may share one.
+func Backend(front *Front, arch Arch) (*Executable, error) {
+	arch = arch.normalize()
+	be, err := arch.validate()
+	if err != nil {
+		return nil, err
+	}
+	if k := arch.FrontKey(); k != front.Key {
+		return nil, fmt.Errorf("regconn: front compiled for %+v, architecture needs %+v", front.Key, k)
 	}
 	bp := backend.Params{
 		Issue:           arch.Issue,
@@ -263,39 +374,7 @@ func Build(p *ir.Program, arch Arch) (*Executable, error) {
 		Windows:         arch.Windows,
 		ReadPorts:       arch.ReadPorts,
 	}
-	if err := ir.Verify(p); err != nil {
-		return nil, fmt.Errorf("regconn: verify: %w", err)
-	}
-	for _, f := range p.Funcs {
-		if err := analysis.CheckDefiniteAssignment(f); err != nil {
-			return nil, fmt.Errorf("regconn: %w", err)
-		}
-	}
-
-	// 1. Classical optimization (always on — §5.1: all benchmarks get
-	// full classical optimization). From here on every pass rewrites IR
-	// in place, so work on a private deep copy: the caller's program
-	// stays byte-identical however many times it is built.
-	p = ir.Clone(p)
-	opt.Classical(p)
-
-	// 2. ILP transformation sized to the issue rate, guided by a
-	// trip-count profile (low-trip loops are not worth unrolling).
-	if !arch.ScalarOnly {
-		interp.ClearProfile(p)
-		if _, err := interp.Run(p, "main", nil, interp.Options{Profile: true}); err != nil {
-			return nil, fmt.Errorf("regconn: pre-ILP profiling run: %w", err)
-		}
-		ilp.Transform(p, ilp.UnrollFactorFor(arch.Issue), arch.ExpandAccumulators)
-	}
-
-	// 3. Re-profile the final IR: allocator priorities, branch
-	// prediction, and the correctness oracle all come from this run.
-	interp.ClearProfile(p)
-	golden, err := interp.Run(p, "main", nil, interp.Options{Profile: true})
-	if err != nil {
-		return nil, fmt.Errorf("regconn: profiling run: %w", err)
-	}
+	p := front.IR
 
 	// 4. Register allocation. The backend shapes the file and selects the
 	// allocation strategy.
@@ -331,7 +410,7 @@ func Build(p *ir.Program, arch Arch) (*Executable, error) {
 		Arch:         arch,
 		MProg:        mp,
 		Alloc:        pa,
-		Golden:       golden,
+		Front:        front,
 		PreAllocSize: preSize,
 	}
 	for _, f := range mp.Funcs {
@@ -513,13 +592,13 @@ func (e *Executable) VerifyContext(ctx context.Context) (*machine.Result, error)
 // main's return value and the final contents of the global data section
 // must match exactly. Shared by the one-shot and arena verify paths.
 func (e *Executable) checkOracle(res *machine.Result) error {
-	if res.RetInt != e.Golden.Ret {
-		return fmt.Errorf("regconn: result mismatch: machine %d, interpreter %d", res.RetInt, e.Golden.Ret)
+	f := e.Front
+	if res.RetInt != f.Ret {
+		return fmt.Errorf("regconn: result mismatch: machine %d, interpreter %d", res.RetInt, f.Ret)
 	}
-	p := e.MProg.IR
-	end := e.Golden.Layout.DataEnd(p)
-	for addr := int64(mem.GlobalBase); addr < end; addr += 8 {
-		if got, want := res.Mem.LoadI(addr), e.Golden.Mem.LoadI(addr); got != want {
+	for i, want := range f.Data {
+		addr := int64(mem.GlobalBase) + 8*int64(i)
+		if got := res.Mem.LoadI(addr); got != want {
 			return fmt.Errorf("regconn: memory mismatch at %#x: machine %d, interpreter %d", addr, got, want)
 		}
 	}

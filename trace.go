@@ -44,8 +44,8 @@ func (e *Executable) Trace(name string) (*workload.Trace, error) {
 		Ann:       e.Image.Ann,
 		FuncStart: e.Image.FuncStart,
 		Globals:   globals,
-		Expect:    e.Golden.Ret,
-		MemSum:    workload.DataDigest(e.Golden.Mem, e.Golden.Layout.DataEnd(p)),
+		Expect:    e.Front.Ret,
+		MemSum:    workload.DataDigest(e.Front.Data),
 		Cycles:    res.Cycles,
 		Instrs:    res.Instrs,
 	}, nil
